@@ -108,6 +108,58 @@ uint64_t AccuracyAuditor::items_seen() const {
   return items_seen_.load(std::memory_order_relaxed);
 }
 
+namespace {
+
+// The scoring half of every audit pass: the largest |estimate - exact|
+// over `checked` against eps * m, and the share of the shadow-certified
+// `heavies` present in HeavyHitters(phi). Fills the scoring fields of
+// `report`.
+void Score(const std::vector<std::pair<uint64_t, uint64_t>>& checked,
+           const std::vector<uint64_t>& heavies, double epsilon, double phi,
+           uint64_t total_items,
+           const AccuracyAuditor::EstimateBatchFn& estimate,
+           const AccuracyAuditor::HeavyHittersFn& heavy_hitters,
+           AuditReport* report) {
+  static Histogram* const abs_error_hist =
+      GetHistogram("l1hh_audit_observed_abs_error");
+  std::vector<uint64_t> keys;
+  keys.reserve(checked.size());
+  for (const auto& [key, count] : checked) keys.push_back(key);
+  const std::vector<double> estimates = estimate(keys);
+  report->audited_keys = std::min(estimates.size(), checked.size());
+  for (size_t i = 0; i < report->audited_keys; ++i) {
+    const double err =
+        std::fabs(estimates[i] - static_cast<double>(checked[i].second));
+    report->max_abs_error = std::max(report->max_abs_error, err);
+    abs_error_hist->Observe(static_cast<uint64_t>(std::llround(err)));
+  }
+  const double denom = epsilon * static_cast<double>(total_items);
+  report->eps_ratio = denom > 0 ? report->max_abs_error / denom : 0.0;
+  report->shadow_heavies = heavies.size();
+  if (!heavies.empty()) {
+    const std::vector<ItemEstimate> reported = heavy_hitters(phi);
+    std::unordered_set<uint64_t> reported_keys;
+    reported_keys.reserve(reported.size());
+    for (const ItemEstimate& hh : reported) reported_keys.insert(hh.item);
+    for (const uint64_t key : heavies) {
+      if (reported_keys.count(key) != 0) ++report->recalled;
+    }
+    report->recall = static_cast<double>(report->recalled) /
+                     static_cast<double>(report->shadow_heavies);
+  }
+}
+
+AccuracyAuditor::EstimateBatchFn SummaryEstimates(const Summary& summary) {
+  return [&summary](const std::vector<uint64_t>& keys) {
+    std::vector<double> out;
+    out.reserve(keys.size());
+    for (const uint64_t key : keys) out.push_back(summary.Estimate(key));
+    return out;
+  };
+}
+
+}  // namespace
+
 AuditReport AccuracyAuditor::Audit(const EstimateBatchFn& estimate,
                                    const HeavyHittersFn& heavy_hitters,
                                    uint64_t total_items) {
@@ -128,49 +180,34 @@ AuditReport AccuracyAuditor::Audit(const EstimateBatchFn& estimate,
       }
     }
   }
-  static Histogram* const abs_error_hist =
-      GetHistogram("l1hh_audit_observed_abs_error");
-  std::vector<uint64_t> keys;
-  keys.reserve(top.size());
-  for (const auto& [key, count] : top) keys.push_back(key);
-  const std::vector<double> estimates = estimate(keys);
-  report.audited_keys = std::min(estimates.size(), top.size());
-  for (size_t i = 0; i < report.audited_keys; ++i) {
-    const double err =
-        std::fabs(estimates[i] - static_cast<double>(top[i].second));
-    report.max_abs_error = std::max(report.max_abs_error, err);
-    abs_error_hist->Observe(static_cast<uint64_t>(std::llround(err)));
-  }
-  const double denom =
-      options_.epsilon * static_cast<double>(total_items);
-  report.eps_ratio = denom > 0 ? report.max_abs_error / denom : 0.0;
-  report.shadow_heavies = heavies.size();
-  if (!heavies.empty()) {
-    const std::vector<ItemEstimate> reported =
-        heavy_hitters(options_.phi);
-    std::unordered_set<uint64_t> reported_keys;
-    reported_keys.reserve(reported.size());
-    for (const ItemEstimate& hh : reported) reported_keys.insert(hh.item);
-    for (const uint64_t key : heavies) {
-      if (reported_keys.count(key) != 0) ++report.recalled;
-    }
-    report.recall = static_cast<double>(report.recalled) /
-                    static_cast<double>(report.shadow_heavies);
-  }
+  Score(top, heavies, options_.epsilon, options_.phi, total_items, estimate,
+        heavy_hitters, &report);
   PublishAuditReport(report);
   return report;
 }
 
 AuditReport AccuracyAuditor::AuditSummary(const Summary& summary) {
   return Audit(
-      [&summary](const std::vector<uint64_t>& keys) {
-        std::vector<double> out;
-        out.reserve(keys.size());
-        for (const uint64_t key : keys) out.push_back(summary.Estimate(key));
-        return out;
-      },
+      SummaryEstimates(summary),
       [&summary](double phi) { return summary.HeavyHitters(phi); },
       summary.ItemsProcessed());
+}
+
+AuditReport AuditShippedShadow(
+    const std::vector<std::pair<uint64_t, uint64_t>>& shadow, double epsilon,
+    double phi, uint64_t total_items, const Summary& view) {
+  AuditReport report;
+  report.items_seen = total_items;
+  report.shadow_keys = shadow.size();
+  const double heavy_threshold = phi * static_cast<double>(total_items);
+  std::vector<uint64_t> heavies;
+  for (const auto& [key, count] : shadow) {
+    if (static_cast<double>(count) > heavy_threshold) heavies.push_back(key);
+  }
+  Score(shadow, heavies, epsilon, phi, total_items, SummaryEstimates(view),
+        [&view](double p) { return view.HeavyHitters(p); }, &report);
+  PublishAuditReport(report);
+  return report;
 }
 
 void PublishAuditReport(const AuditReport& report) {

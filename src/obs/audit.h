@@ -122,8 +122,17 @@ class AccuracyAuditor {
   std::atomic<uint64_t> items_seen_{0};  // bumped outside the mutex
 };
 
-// Publishes a report computed elsewhere (the replica audits against a
-// shadow shipped from the primary rather than one it sampled itself).
+// Audits `view` against exact (key, count) truth sampled elsewhere at
+// stream position `total_items`: a replica scoring its merged view
+// against the TopShadow pairs its primary ships. Every pair is
+// estimate-checked; the pairs above phi * total_items are the heavies
+// whose recall is checked. Scored exactly as Audit() scores, and
+// published the same way.
+AuditReport AuditShippedShadow(
+    const std::vector<std::pair<uint64_t, uint64_t>>& shadow, double epsilon,
+    double phi, uint64_t total_items, const Summary& view);
+
+// Publishes a report's gauges and bumps l1hh_audit_runs_total.
 void PublishAuditReport(const AuditReport& report);
 
 }  // namespace obs

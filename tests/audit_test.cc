@@ -229,6 +229,41 @@ TEST_F(AuditTest, AuditPublishesInstrumentsForHonestRun) {
   EXPECT_GT(GetHistogram("l1hh_audit_observed_abs_error")->Count(), 0u);
 }
 
+// A replica scores its view against the TopShadow pairs its primary
+// ships; that path must score exactly as Audit() does on the shadow the
+// pairs came from, honest or corrupted.
+TEST_F(AuditTest, ShippedShadowScoresLikeAudit) {
+  const double epsilon = 0.01;
+  const double phi = 0.05;
+  const auto stream = MakeStream(100000, 19);
+  // top_k = 0 ships every shadow key, so both paths see the same truth.
+  AccuracyAuditor auditor({.sample_rate = 2,
+                           .seed = 2,
+                           .epsilon = epsilon,
+                           .phi = phi,
+                           .audit_top_k = 0});
+  auditor.ObserveColumn(stream.data(), stream.size());
+  auto honest = RunSummary("space_saving", stream, epsilon, phi);
+  CorruptedSummary corrupted(RunSummary("space_saving", stream, epsilon, phi),
+                             epsilon);
+  for (const Summary* view : {static_cast<const Summary*>(honest.get()),
+                              static_cast<const Summary*>(&corrupted)}) {
+    const AuditReport audited = auditor.AuditSummary(*view);
+    const AuditReport shipped = AuditShippedShadow(
+        auditor.TopShadow(0), epsilon, phi, stream.size(), *view);
+    EXPECT_GT(shipped.shadow_heavies, 0u);
+    EXPECT_EQ(shipped.items_seen, audited.items_seen);
+    EXPECT_EQ(shipped.shadow_keys, audited.shadow_keys);
+    EXPECT_EQ(shipped.audited_keys, audited.audited_keys);
+    EXPECT_EQ(shipped.max_abs_error, audited.max_abs_error);
+    EXPECT_EQ(shipped.eps_ratio, audited.eps_ratio);
+    EXPECT_EQ(shipped.shadow_heavies, audited.shadow_heavies);
+    EXPECT_EQ(shipped.recalled, audited.recalled);
+    EXPECT_EQ(shipped.recall, audited.recall);
+  }
+  EXPECT_EQ(GetCounter("l1hh_audit_runs_total")->Value(), 4u);
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace l1hh

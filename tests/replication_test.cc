@@ -396,5 +396,56 @@ TEST(ReplicationTest, WindowedStandbyTailsDeltasAndSurvivesFailover) {
   ExpectExitedCleanly(replica);
 }
 
+// ---- The standby parses verb arguments like the primary ----------------
+
+// Both binaries answer through one verb table, so a malformed item id is
+// refused on the standby exactly as on the primary: no sign, no trailing
+// garbage, no overflow.
+TEST(ReplicationTest, StandbyRefusesMalformedEstimateArguments) {
+  const std::string primary_sock =
+      testing::TempDir() + "/repl_args_primary.sock";
+  const std::string replica_sock =
+      testing::TempDir() + "/repl_args_standby.sock";
+  const pid_t primary = StartPrimary(primary_sock, {"--algo=exact"});
+  ASSERT_GT(primary, 0);
+  const pid_t replica = StartReplica(primary_sock, replica_sock);
+  ASSERT_GT(replica, 0);
+
+  Client standby(replica_sock);
+  AwaitStats(standby, "primary=up");
+  for (const char* request :
+       {"estimate 5x", "estimate -1", "estimate +5",
+        "estimate 99999999999999999999"}) {
+    standby.SendLine(request);
+    EXPECT_EQ(standby.ReadLine(),
+              std::string("err malformed item id in '") + request + "'");
+  }
+  EXPECT_EQ(standby.EstimateOf(5), 0.0);  // still serving
+
+  standby.SendLine("shutdown");
+  EXPECT_EQ(standby.ReadLine(), "ok");
+  ExpectExitedCleanly(replica);
+  {
+    Client admin(primary_sock);
+    admin.SendLine("shutdown");
+    EXPECT_EQ(admin.ReadLine(), "ok");
+  }
+  ExpectExitedCleanly(primary);
+}
+
+// A --primary path that cannot fit sockaddr_un::sun_path is refused at
+// startup, not silently truncated into a different path.
+TEST(ReplicationTest, RefusesPrimaryPathLongerThanSunPath) {
+  const std::string too_long = testing::TempDir() + "/" +
+                               std::string(sizeof(sockaddr_un::sun_path), 'p');
+  const pid_t replica = StartReplica(
+      too_long, testing::TempDir() + "/repl_long_standby.sock");
+  ASSERT_GT(replica, 0);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(replica, &wstatus, 0), replica);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+}
+
 }  // namespace
 }  // namespace l1hh

@@ -1,0 +1,269 @@
+// In-process test of the shared query-verb table (src/serve/, ctest
+// label: engine): drives QueryVerbs over a socketpair() against a fake
+// QueryBackend, with no forked binary. Pins the reply framing of every
+// verb, the error text for every malformed argument, and connection
+// handling (empty lines, quit, shutdown).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include "obs/metrics.h"
+#include "obs/span.h"
+#include "obs/trace.h"
+#include "serve/query_verbs.h"
+#include "serve/socket.h"
+
+namespace l1hh {
+namespace serve {
+namespace {
+
+class FakeBackend : public QueryBackend {
+ public:
+  Status HeavyHitters(double phi, std::vector<ItemEstimate>* out) override {
+    last_phi = phi;
+    if (!synced) return Status::FailedPrecondition("fake is not synced");
+    *out = {{7, 70.0}, {9, 30.5}};
+    return Status::Ok();
+  }
+  Status Estimate(uint64_t item, double* out) override {
+    if (!synced) return Status::FailedPrecondition("fake is not synced");
+    *out = static_cast<double>(item) * 2.0;
+    return Status::Ok();
+  }
+  std::string StatsLine() override { return "stats fake=1"; }
+  void BeforeScrape() override {
+    scrapes.fetch_add(1);
+    obs::GetCounter("fake_scrapes_total")->Inc();
+  }
+
+  std::atomic<bool> synced{true};
+  std::atomic<double> last_phi{0.0};
+  std::atomic<int> scrapes{0};
+};
+
+class ServeProtocolTest : public ::testing::Test {
+ protected:
+  static constexpr double kDefaultPhi = 0.05;
+
+  void SetUp() override {
+    obs::SetEnabled(true);
+    obs::Registry::Get().ResetForTest();
+    obs::TraceRing::Get().ResetForTest();
+    obs::SlowQueryRing::Get().ResetForTest();
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
+    // A broken table must fail the test, not hang it.
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fds_[0], SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    reader_ = LineReader(fds_[0]);
+    // The server side closes its end when the table returns, so the
+    // client reads EOF exactly when the connection ended.
+    server_ = std::thread([this] {
+      verbs_.ServeConnection(fds_[1]);
+      ::close(fds_[1]);
+    });
+  }
+
+  void TearDown() override {
+    ::shutdown(fds_[0], SHUT_WR);
+    server_.join();
+    ::close(fds_[0]);
+    obs::SetSlowQueryThresholdNs(0);
+  }
+
+  void Send(const std::string& line) {
+    ASSERT_TRUE(WriteLine(fds_[0], line));
+  }
+
+  std::string ReadReply() {
+    std::string line;
+    EXPECT_TRUE(reader_.ReadLine(&line)) << "connection ended mid-reply";
+    return line;
+  }
+
+  std::string Request(const std::string& line) {
+    Send(line);
+    return ReadReply();
+  }
+
+  // Reads a "<head> <N>" block and returns its N body lines.
+  std::vector<std::string> RequestBlock(const std::string& line,
+                                        const std::string& head) {
+    const std::string header = Request(line);
+    std::vector<std::string> body;
+    uint64_t count = 0;
+    const std::string_view count_text = std::string_view(header).substr(
+        std::min(header.size(), head.size() + 1));
+    if (header.rfind(head + " ", 0) != 0 || !ParseU64(count_text, &count)) {
+      ADD_FAILURE() << "bad '" << head << "' header: '" << header << "'";
+      return body;
+    }
+    for (uint64_t i = 0; i < count; ++i) body.push_back(ReadReply());
+    return body;
+  }
+
+  bool ConnectionEnded() {
+    std::string line;
+    return !reader_.ReadLine(&line);
+  }
+
+  FakeBackend backend_;
+  std::atomic<bool> stopped_{false};
+  const QueryVerbs verbs_{&backend_, kDefaultPhi,
+                          [this] { stopped_.store(true); }};
+  int fds_[2] = {-1, -1};
+  LineReader reader_{-1};
+  std::thread server_;
+};
+
+TEST_F(ServeProtocolTest, ReplyFramingForEveryVerb) {
+  EXPECT_EQ(RequestBlock("heavy", "hh"),
+            (std::vector<std::string>{"7 70", "9 30.5"}));
+  EXPECT_EQ(backend_.last_phi.load(), kDefaultPhi);
+  EXPECT_EQ(RequestBlock("heavy 0.25", "hh").size(), 2u);
+  EXPECT_EQ(backend_.last_phi.load(), 0.25);
+
+  EXPECT_EQ(Request("estimate 21"), "est 21 42");
+  EXPECT_EQ(Request("estimate 18446744073709551615"),
+            "est 18446744073709551615 3.6893488147419103e+19");
+  EXPECT_EQ(Request("stats"), "stats fake=1");
+
+  const std::vector<std::string> metrics =
+      RequestBlock("metrics", "metrics");
+  EXPECT_EQ(backend_.scrapes.load(), 1);
+  bool saw_scrape_counter = false;
+  for (const std::string& line : metrics) {
+    saw_scrape_counter |= line == "fake_scrapes_total 1";
+  }
+  EXPECT_TRUE(saw_scrape_counter) << "metrics body lacks the pre-scrape hook";
+
+  obs::Trace(obs::Severity::kDebug, "test.debug", 1);
+  obs::Trace(obs::Severity::kWarn, "test.warn", 2);
+  obs::Trace(obs::Severity::kInfo, "test.info", 3);
+  EXPECT_EQ(RequestBlock("trace", "trace").size(), 3u);
+  const std::vector<std::string> newest = RequestBlock("trace 1", "trace");
+  ASSERT_EQ(newest.size(), 1u);
+  EXPECT_NE(newest[0].find("test.info"), std::string::npos) << newest[0];
+  const std::vector<std::string> warns =
+      RequestBlock("trace 0 warn", "trace");
+  ASSERT_EQ(warns.size(), 1u);
+  EXPECT_NE(warns[0].find("test.warn"), std::string::npos) << warns[0];
+
+  EXPECT_TRUE(RequestBlock("slow", "slow").empty());
+  obs::SetSlowQueryThresholdNs(1);  // every span is now slow
+  EXPECT_EQ(Request("estimate 1"), "est 1 2");
+  const std::vector<std::string> slow = RequestBlock("slow", "slow");
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_NE(slow[0].find(" estimate "), std::string::npos) << slow[0];
+}
+
+TEST_F(ServeProtocolTest, MalformedArgumentsGetErrors) {
+  for (const char* request : {"heavy 0", "heavy -1"}) {
+    EXPECT_EQ(Request(request), "err phi must be > 0") << request;
+  }
+  for (const char* request :
+       {"estimate abc", "estimate 5x", "estimate -1", "estimate +5",
+        "estimate 99999999999999999999", "estimate", "estimate "}) {
+    EXPECT_EQ(Request(request),
+              std::string("err malformed item id in '") + request + "'");
+  }
+  for (const char* request :
+       {"trace x", "trace -1", "trace 5 bogus", "trace 1 info extra"}) {
+    EXPECT_EQ(Request(request), "err usage: trace [N [debug|info|warn]]")
+        << request;
+  }
+  for (const char* request : {"frobnicate", "stats now", "quit now", "bin 4",
+                              "flush", "replicate"}) {
+    EXPECT_EQ(Request(request),
+              std::string("err unknown request '") + request + "'");
+  }
+  backend_.synced.store(false);
+  EXPECT_EQ(Request("heavy"), "err fake is not synced");
+  EXPECT_EQ(Request("estimate 3"), "err fake is not synced");
+}
+
+TEST_F(ServeProtocolTest, EmptyLinesAreIgnoredAndQuitEndsTheConnection) {
+  Send("");
+  Send("");
+  EXPECT_EQ(Request("stats"), "stats fake=1");
+  // Nothing after quit is answered, and the stop hook never fires. One
+  // write, so the client never writes into an already-closed peer.
+  Send("quit\nstats");
+  EXPECT_TRUE(ConnectionEnded());
+  EXPECT_FALSE(stopped_.load());
+}
+
+TEST_F(ServeProtocolTest, ShutdownRepliesOkAndSignalsStop) {
+  Send("shutdown");
+  EXPECT_EQ(ReadReply(), "ok");
+  EXPECT_TRUE(ConnectionEnded());
+  EXPECT_TRUE(stopped_.load());
+}
+
+TEST(ServeCodecTest, ParseU64AcceptsDigitsOnly) {
+  uint64_t value = 0;
+  EXPECT_TRUE(ParseU64("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseU64("42  ", &value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(ParseU64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  for (const char* bad : {"", " 1", "+1", "-1", "1x", "1 2", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseU64(bad, &value)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseU64(std::string_view("1\0" "2", 3), &value));
+}
+
+TEST(ServeCodecTest, BinHeaderCountIsBounded) {
+  uint64_t count = 0;
+  EXPECT_TRUE(ParseBinCount(std::to_string(kMaxBinaryBatch), &count));
+  EXPECT_EQ(count, kMaxBinaryBatch);
+  EXPECT_FALSE(ParseBinCount(std::to_string(kMaxBinaryBatch + 1), &count));
+  EXPECT_FALSE(ParseBinCount("-1", &count));
+  EXPECT_FALSE(ParseBinCount("18446744073709551615", &count));
+}
+
+TEST(ServeCodecTest, LineReaderMixesLinesAndExactReads) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string wire = std::string("bin 2\n") + "abcdefgh" + "tail\n";
+  ASSERT_TRUE(WriteAll(fds[0], wire.data(), wire.size()));
+  ::close(fds[0]);
+  LineReader reader(fds[1]);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "bin 2");
+  char payload[8];
+  ASSERT_TRUE(reader.ReadExact(payload, sizeof(payload)));
+  EXPECT_EQ(std::string(payload, sizeof(payload)), "abcdefgh");
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "tail");
+  EXPECT_FALSE(reader.ReadLine(&line));
+  EXPECT_FALSE(reader.ReadExact(payload, 1));
+  ::close(fds[1]);
+}
+
+TEST(ServeCodecTest, UnixPathsBeyondSunPathAreRefused) {
+  const std::string too_long(kMaxUnixPathBytes + 1, 'x');
+  Status status;
+  EXPECT_EQ(UnixListener::Bind(too_long, &status), nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  status = Status::Ok();
+  EXPECT_EQ(ConnectUnix(too_long, &status), -1);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+}  // namespace
+}  // namespace serve
+}  // namespace l1hh

@@ -1,73 +1,37 @@
 // l1hh_replica — warm standby for an l1hh_serve primary.
 //
-// Connects to a primary's Unix socket, performs an initial full sync
-// ("replicate"), then tails incremental frames ("sync" every
-// --interval-ms): full snapshot containers for plain or heavily-rotated
-// shards, delta containers carrying only the changed window tail for
-// everything else.  Every frame is CRC-validated and clock-checked by
-// the snapshot layer before it touches replica state, so a torn or
-// reordered frame is a refused frame, never a silently wrong standby.
-//
-// The replica simultaneously serves queries on its OWN socket with the
-// same text protocol as the primary's read side — and keeps serving
-// after the primary dies (the failover story: answers reflect the last
-// completed sync, within the structures' eps guarantee of the primary's
-// final state, as tests/replication_test.cc and the CI smoke pin).
+// Connects to a primary's Unix socket, full-syncs once ("replicate"),
+// then tails incremental "sync" rounds every --interval-ms. Every frame
+// is CRC-validated and clock-checked by the snapshot layer before it
+// touches replica state, so a torn or reordered frame is a refused
+// frame, never a silently wrong standby. It serves the shared query
+// verbs on its own socket and keeps serving after the primary dies,
+// answering from the last completed sync.
 //
 //   l1hh_replica --primary=/tmp/l1hh.sock --socket=/tmp/l1hh-replica.sock
-//       [--interval-ms=200] [--http=PORT] [--ready-lag=65536]
+//       [--interval-ms=200] [--phi=0.05] [--http=PORT] [--ready-lag=65536]
 //       [--slow-query-us=10000]
 //
-// Replica-side protocol (one request per line):
+// --phi is the bare `heavy` threshold. --http=PORT mounts /metrics,
+// /healthz and /readyz; readiness means at least one completed sync AND
+// lag_items <= --ready-lag, or the primary is lost. Telemetry, including
+// the audit against shadow truth an auditing primary ships:
+// docs/OBSERVABILITY.md.
 //
-//   heavy [phi]         heavy-hitter report from the replicated state
-//   estimate <item>     point estimate
-//   stats               "stats items=<primary items at last sync>
-//                       shards=<K> syncs=<completed syncs>
-//                       primary=<up|lost> algo=<name> lag_items=<n>"
-//                       (lag_items = primary items at the last rsync
-//                       minus items applied to replica state, clamped at
-//                       0 — the warm-standby health signal)
-//   metrics             "metrics <N>" then N lines of Prometheus-style
-//                       text exposition from the telemetry registry
-//   trace [N [sev]]     "trace <K>" then the K most recent trace events
-//                       (N caps, sev in {debug,info,warn} filters)
-//   slow                "slow <N>" then the recent slow-query records
-//   quit                close this connection
-//   shutdown            replies "ok", stops the replica process
-//
-// Observability: query verbs run under spans with the same phase
-// taxonomy as the primary's, and the post-sync re-merge cost is exported
-// as l1hh_replica_view_rebuild_seconds (the ROADMAP's "replica rebuild
-// is invisible" residue).  When the primary runs --audit-rate, each sync
-// round ships its exact shadow truth ("audit" header + key/count pairs);
-// the replica audits ITS merged view against that shadow at every
-// /metrics scrape, so a standby serving stale or corrupt answers is an
-// alert, not a surprise at failover.  --http=PORT mounts /metrics,
-// /healthz, and /readyz; readiness means at least one completed sync AND
-// lag_items <= --ready-lag, or the primary is lost (failover mode: the
-// last synced view is by definition the best answer available).
-#include <algorithm>
+// Wire protocol (every verb, which binary serves it, reply framing):
+// docs/ENGINE.md#the-socket-front-end-toolsl1hh_servecc.
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "io/snapshot.h"
@@ -76,6 +40,8 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "serve/query_verbs.h"
+#include "serve/socket.h"
 #include "summary/summary.h"
 #include "util/status.h"
 
@@ -140,6 +106,11 @@ bool Parse(int argc, char** argv, ReplicaArgs* out) {
     std::fprintf(stderr, "--primary=<sock> and --socket=<sock> are required\n");
     return false;
   }
+  if (out->primary_path.size() > serve::kMaxUnixPathBytes) {
+    std::fprintf(stderr, "--primary path too long (max %zu bytes)\n",
+                 serve::kMaxUnixPathBytes);
+    return false;
+  }
   if (out->http_port > 65535) {
     std::fprintf(stderr, "--http port must be <= 65535\n");
     return false;
@@ -147,85 +118,7 @@ bool Parse(int argc, char** argv, ReplicaArgs* out) {
   return true;
 }
 
-// ---- Socket helpers (same wire idioms as l1hh_serve.cc) ----------------
-
-bool WriteAll(int fd, const char* data, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t wrote = ::write(fd, data + done, n - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(wrote);
-  }
-  return true;
-}
-
-bool WriteLine(int fd, const std::string& line) {
-  return WriteAll(fd, (line + "\n").c_str(), line.size() + 1);
-}
-
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  bool ReadLine(std::string* line) {
-    while (true) {
-      const size_t nl = buffer_.find('\n', pos_);
-      if (nl != std::string::npos) {
-        line->assign(buffer_, pos_, nl - pos_);
-        pos_ = nl + 1;
-        Compact();
-        return true;
-      }
-      if (!Fill()) return false;
-    }
-  }
-
-  bool ReadExact(char* out, size_t n) {
-    size_t got = 0;
-    const size_t buffered = std::min(n, buffer_.size() - pos_);
-    std::memcpy(out, buffer_.data() + pos_, buffered);
-    pos_ += buffered;
-    got += buffered;
-    Compact();
-    while (got < n) {
-      const ssize_t r = ::read(fd_, out + got, n - got);
-      if (r < 0 && errno == EINTR) continue;
-      if (r <= 0) return false;
-      got += static_cast<size_t>(r);
-    }
-    return true;
-  }
-
- private:
-  bool Fill() {
-    Compact();
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) return true;
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  void Compact() {
-    if (pos_ == 0) return;
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
-
-  int fd_;
-  std::string buffer_;
-  size_t pos_ = 0;
-};
-
 // ---- Replicated state --------------------------------------------------
-
-// A frame above this is a protocol error, not a snapshot (same guard as
-// the primary's binary-batch bound).
-constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 28;
 
 struct ReplicaState {
   std::mutex mutex;
@@ -248,20 +141,7 @@ struct ReplicaState {
   double audit_phi = 0.0;
   uint64_t audit_items = 0;
   std::vector<std::pair<uint64_t, uint64_t>> audit_shadow;
-
-  std::atomic<bool> stop{false};
-  int listen_fd = -1;
 };
-
-ReplicaState* g_state = nullptr;
-
-void OnSignal(int) {
-  if (g_state != nullptr) {
-    g_state->stop.store(true, std::memory_order_relaxed);
-    const int fd = g_state->listen_fd;
-    if (fd >= 0) ::close(fd);
-  }
-}
 
 // Items applied to replica state (sum over shard summaries).  Caller
 // holds state.mutex.
@@ -281,6 +161,27 @@ uint64_t ReplicaAppliedLocked(const ReplicaState& state) {
 uint64_t LagItemsLocked(const ReplicaState& state) {
   const uint64_t applied = ReplicaAppliedLocked(state);
   return state.items > applied ? state.items - applied : 0;
+}
+
+// LagItemsLocked, also published as the l1hh_replica_lag_items gauge.
+uint64_t PublishLagLocked(const ReplicaState& state) {
+  const uint64_t lag = LagItemsLocked(state);
+  obs::GetGauge("l1hh_replica_lag_items")->Set(static_cast<int64_t>(lag));
+  return lag;
+}
+
+// The readiness rule behind /readyz: this replica could take over right
+// now — synced at least once AND within `ready_lag` of the primary, or
+// the primary is lost (the last synced view is then the best answer that
+// exists). Also published as the 0/1 l1hh_replica_ready gauge, so a plain
+// /metrics scrape can alert on readiness flapping without a prober.
+// Caller holds state.mutex.
+bool PublishReadyLocked(const ReplicaState& state, uint64_t ready_lag) {
+  const bool ready =
+      state.syncs > 0 && (LagItemsLocked(state) <= ready_lag ||
+                          !state.primary_up.load(std::memory_order_relaxed));
+  obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
+  return ready;
 }
 
 // The query view: the lone shard itself for K == 1 (supports
@@ -328,54 +229,18 @@ const Summary* QueryView(ReplicaState& state) {
 }
 
 // Audits the replica's merged view against the primary-shipped exact
-// shadow (no-op report when no auditing primary has synced).  Caller
-// holds state.mutex.  This is the failover insurance: a replica whose
-// frames decoded into a wrong view drifts its eps-ratio above 1 while
-// it is still a standby.
-obs::AuditReport AuditReplicaLocked(ReplicaState& state) {
-  obs::AuditReport report;
-  if (!state.audit_valid || state.audit_shadow.empty()) return report;
+// shadow (nothing to do until an auditing primary has synced). Caller
+// holds state.mutex. This is the failover insurance: a replica whose
+// frames decoded into a wrong view drifts its eps-ratio above 1 while it
+// is still a standby. The shadow is exact at audit_items and the view
+// may trail it (frames land before the rsync that commits the shadow);
+// that residual lag is genuine staleness, so no correction is applied.
+void AuditReplicaLocked(ReplicaState& state) {
+  if (!state.audit_valid || state.audit_shadow.empty()) return;
   const Summary* view = QueryView(state);
-  if (view == nullptr) return report;
-  report.items_seen = state.audit_items;
-  report.shadow_keys = state.audit_shadow.size();
-  report.audited_keys = state.audit_shadow.size();
-  static obs::Histogram* const abs_error_hist =
-      obs::GetHistogram("l1hh_audit_observed_abs_error");
-  // The shadow is exact at audit_items; the replica's view is at
-  // ReplicaAppliedLocked() <= audit_items (frames land before the rsync
-  // that commits the shadow).  The residual lag is genuine staleness and
-  // is exactly what this audit should surface — no correction applied.
-  for (const auto& [key, count] : state.audit_shadow) {
-    const double err =
-        std::fabs(view->Estimate(key) - static_cast<double>(count));
-    report.max_abs_error = std::max(report.max_abs_error, err);
-    abs_error_hist->Observe(static_cast<uint64_t>(std::llround(err)));
-  }
-  const double denom =
-      state.audit_epsilon * static_cast<double>(state.audit_items);
-  report.eps_ratio = denom > 0 ? report.max_abs_error / denom : 0.0;
-  const double heavy_threshold =
-      state.audit_phi * static_cast<double>(state.audit_items);
-  std::vector<uint64_t> heavies;
-  for (const auto& [key, count] : state.audit_shadow) {
-    if (static_cast<double>(count) > heavy_threshold) heavies.push_back(key);
-  }
-  report.shadow_heavies = heavies.size();
-  if (!heavies.empty()) {
-    const std::vector<ItemEstimate> reported =
-        view->HeavyHitters(state.audit_phi);
-    std::unordered_set<uint64_t> reported_keys;
-    reported_keys.reserve(reported.size());
-    for (const ItemEstimate& hh : reported) reported_keys.insert(hh.item);
-    for (const uint64_t key : heavies) {
-      if (reported_keys.count(key) != 0) ++report.recalled;
-    }
-    report.recall = static_cast<double>(report.recalled) /
-                    static_cast<double>(report.shadow_heavies);
-  }
-  obs::PublishAuditReport(report);
-  return report;
+  if (view == nullptr) return;
+  obs::AuditShippedShadow(state.audit_shadow, state.audit_epsilon,
+                          state.audit_phi, state.audit_items, *view);
 }
 
 // ---- Replication client (primary-facing) -------------------------------
@@ -383,7 +248,7 @@ obs::AuditReport AuditReplicaLocked(ReplicaState& state) {
 // Reads frames off `reader` until the closing "rsync <items>", applying
 // each to the pending shard set; commits clocks only when the round
 // completes, so a half-received sync never shows up in queries.
-bool DrainSyncRound(ReplicaState& state, LineReader& reader,
+bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
                     size_t expected_shards) {
   std::string line;
   std::vector<uint8_t> bytes;
@@ -394,7 +259,7 @@ bool DrainSyncRound(ReplicaState& state, LineReader& reader,
       unsigned long long nbytes = 0;
       if (std::sscanf(line.c_str(), "frame %7s %llu %llu", kind, &shard,
                       &nbytes) != 3 ||
-          shard >= expected_shards || nbytes > kMaxFrameBytes ||
+          shard >= expected_shards || nbytes > serve::kMaxFrameBytes ||
           (std::strcmp(kind, "full") != 0 &&
            std::strcmp(kind, "delta") != 0)) {
         std::fprintf(stderr, "replica: malformed frame header '%s'\n",
@@ -474,8 +339,7 @@ bool DrainSyncRound(ReplicaState& state, LineReader& reader,
       state.items = std::strtoull(line.c_str() + 6, nullptr, 10);
       ++state.syncs;
       obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
-      obs::GetGauge("l1hh_replica_lag_items")
-          ->Set(static_cast<int64_t>(LagItemsLocked(state)));
+      PublishLagLocked(state);
       obs::Trace(obs::Severity::kDebug, "replica.sync",
                  static_cast<int64_t>(state.syncs),
                  static_cast<int64_t>(state.items));
@@ -491,34 +355,26 @@ bool DrainSyncRound(ReplicaState& state, LineReader& reader,
 // Connects, full-syncs, then tails incremental syncs until the primary
 // dies or the replica is told to stop.  Leaves the last completed sync
 // in `state` either way — failover keeps serving it.
-void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("replica: socket");
-    return;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, args.primary_path.c_str(),
-               sizeof(addr.sun_path) - 1);
+void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
+                     const serve::UnixListener& listener) {
   // The primary may still be binding its socket (a replica is typically
   // started right beside it); retry briefly before declaring it gone.
-  int rc = -1;
+  int fd = -1;
+  Status status;
   for (int attempt = 0; attempt < 200; ++attempt) {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    if (rc == 0 || state.stop.load(std::memory_order_relaxed)) break;
+    fd = serve::ConnectUnix(args.primary_path, &status);
+    if (fd >= 0 || listener.stopping()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  if (rc != 0) {
+  if (fd < 0) {
     std::fprintf(stderr, "replica: cannot connect to primary '%s': %s\n",
-                 args.primary_path.c_str(), std::strerror(errno));
-    ::close(fd);
+                 args.primary_path.c_str(), status.ToString().c_str());
     return;
   }
 
-  LineReader reader(fd);
+  serve::LineReader reader(fd);
   std::string line;
-  if (!WriteLine(fd, "replicate") || !reader.ReadLine(&line) ||
+  if (!serve::WriteLine(fd, "replicate") || !reader.ReadLine(&line) ||
       line.rfind("rconf ", 0) != 0) {
     std::fprintf(stderr, "replica: bad replicate handshake ('%s')\n",
                  line.c_str());
@@ -551,10 +407,10 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
   std::printf("synced %s shards=%llu\n", algo, shards);
   std::fflush(stdout);
 
-  while (!state.stop.load(std::memory_order_relaxed)) {
+  while (!listener.stopping()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(args.interval_ms));
-    if (state.stop.load(std::memory_order_relaxed)) break;
-    if (!WriteLine(fd, "sync") ||
+    if (listener.stopping()) break;
+    if (!serve::WriteLine(fd, "sync") ||
         !DrainSyncRound(state, reader, static_cast<size_t>(shards))) {
       break;  // primary gone: stop syncing, keep serving (failover)
     }
@@ -568,258 +424,94 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
 
 // ---- Query server (client-facing) --------------------------------------
 
-void HandleQueryConnection(ReplicaState* state, const ReplicaArgs* args,
-                           int fd) {
-  LineReader reader(fd);
-  std::string line;
-  while (reader.ReadLine(&line)) {
-    if (line.empty()) continue;
-    if (line == "heavy" || line.rfind("heavy ", 0) == 0) {
-      double phi = args->default_phi;
-      if (line.size() > 6) {
-        phi = std::atof(line.c_str() + 6);
-        if (phi <= 0) {
-          WriteLine(fd, "err phi must be > 0");
-          continue;
-        }
-      }
-      obs::QuerySpan span("heavy");
-      std::string reply;
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        const Summary* view = QueryView(*state);
-        if (view == nullptr) {
-          WriteLine(fd, "err replica has no synced state yet");
-          continue;
-        }
-        std::vector<ItemEstimate> report;
-        {
-          obs::ScopedPhase report_phase("report");
-          report = view->HeavyHitters(phi);
-        }
-        reply = "hh " + std::to_string(report.size());
-        char entry[64];
-        for (const ItemEstimate& hh : report) {
-          std::snprintf(entry, sizeof(entry), "\n%llu %.17g",
-                        static_cast<unsigned long long>(hh.item),
-                        hh.estimate);
-          reply += entry;
-        }
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line.rfind("estimate ", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long long item = std::strtoull(line.c_str() + 9, &end, 10);
-      if (end == line.c_str() + 9) {
-        WriteLine(fd, "err malformed item id in '" + line + "'");
-        continue;
-      }
-      obs::QuerySpan span("estimate");
-      char reply[64];
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        const Summary* view = QueryView(*state);
-        if (view == nullptr) {
-          WriteLine(fd, "err replica has no synced state yet");
-          continue;
-        }
-        obs::ScopedPhase report_phase("report");
-        std::snprintf(reply, sizeof(reply), "est %llu %.17g", item,
-                      view->Estimate(static_cast<uint64_t>(item)));
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line == "stats") {
-      obs::QuerySpan span("stats");
-      std::string reply;
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        const uint64_t lag = LagItemsLocked(*state);
-        obs::GetGauge("l1hh_replica_lag_items")
-            ->Set(static_cast<int64_t>(lag));
-        reply = "stats items=" + std::to_string(state->items) +
-                " shards=" + std::to_string(state->shards.size()) +
-                " syncs=" + std::to_string(state->syncs) + " primary=" +
-                (state->primary_up.load(std::memory_order_relaxed)
-                     ? "up"
-                     : "lost") +
-                " algo=" + state->algorithm +
-                " lag_items=" + std::to_string(lag);
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line == "metrics") {
-      {
-        // Scrape-time work, same as the primary: publish point-in-time
-        // gauges, audit the view when an auditing primary shipped truth.
-        std::lock_guard<std::mutex> lock(state->mutex);
-        obs::GetGauge("l1hh_replica_lag_items")
-            ->Set(static_cast<int64_t>(LagItemsLocked(*state)));
-        AuditReplicaLocked(*state);
-      }
-      const std::vector<std::string> lines =
-          obs::Registry::Get().ExpositionLines();
-      std::string reply = "metrics " + std::to_string(lines.size());
-      for (const std::string& metric_line : lines) {
-        reply += "\n" + metric_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "trace" || line.rfind("trace ", 0) == 0) {
-      uint64_t max_events = 0;
-      obs::Severity min_sev = obs::Severity::kDebug;
-      bool args_ok = true;
-      if (line.size() > 5) {
-        std::istringstream in(line.substr(6));
-        std::string count_text, sev_text, extra;
-        in >> count_text >> sev_text >> extra;
-        if (!count_text.empty()) {
-          char* end = nullptr;
-          max_events = std::strtoull(count_text.c_str(), &end, 10);
-          if (end == count_text.c_str() || *end != '\0') args_ok = false;
-        }
-        if (args_ok && !sev_text.empty() &&
-            !obs::ParseSeverity(sev_text, &min_sev)) {
-          args_ok = false;
-        }
-        if (!extra.empty()) args_ok = false;
-      }
-      if (!args_ok) {
-        WriteLine(fd, "err usage: trace [N [debug|info|warn]]");
-        continue;
-      }
-      const std::vector<std::string> lines = obs::TraceRing::Get().DrainText(
-          static_cast<size_t>(max_events), min_sev);
-      std::string reply = "trace " + std::to_string(lines.size());
-      for (const std::string& event_line : lines) {
-        reply += "\n" + event_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "slow") {
-      const std::vector<std::string> lines =
-          obs::SlowQueryRing::Get().DrainText();
-      std::string reply = "slow " + std::to_string(lines.size());
-      for (const std::string& slow_line : lines) {
-        reply += "\n" + slow_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "quit") break;
-    if (line == "shutdown") {
-      WriteLine(fd, "ok");
-      state->stop.store(true, std::memory_order_relaxed);
-      ::shutdown(state->listen_fd, SHUT_RDWR);
-      break;
-    }
-    WriteLine(fd, "err unknown request '" + line + "'");
+// Answers queries from the replicated shards' merged view.
+class ReplicaBackend : public serve::QueryBackend {
+ public:
+  explicit ReplicaBackend(ReplicaState* state) : state_(*state) {}
+
+  Status HeavyHitters(double phi, std::vector<ItemEstimate>* out) override {
+    std::lock_guard<std::mutex> lock(state_.mutex);
+    const Summary* view = QueryView(state_);
+    if (view == nullptr) return NotSynced();
+    obs::ScopedPhase report_phase("report");
+    *out = view->HeavyHitters(phi);
+    return Status::Ok();
   }
-}
+
+  Status Estimate(uint64_t item, double* out) override {
+    std::lock_guard<std::mutex> lock(state_.mutex);
+    const Summary* view = QueryView(state_);
+    if (view == nullptr) return NotSynced();
+    obs::ScopedPhase report_phase("report");
+    *out = view->Estimate(item);
+    return Status::Ok();
+  }
+
+  std::string StatsLine() override {
+    std::lock_guard<std::mutex> lock(state_.mutex);
+    const uint64_t lag = PublishLagLocked(state_);
+    return "stats items=" + std::to_string(state_.items) +
+           " shards=" + std::to_string(state_.shards.size()) +
+           " syncs=" + std::to_string(state_.syncs) + " primary=" +
+           (state_.primary_up.load(std::memory_order_relaxed) ? "up"
+                                                               : "lost") +
+           " algo=" + state_.algorithm + " lag_items=" + std::to_string(lag);
+  }
+
+  void BeforeScrape() override {
+    std::lock_guard<std::mutex> lock(state_.mutex);
+    PublishLagLocked(state_);
+    AuditReplicaLocked(state_);
+  }
+
+ private:
+  static Status NotSynced() {
+    return Status::FailedPrecondition("replica has no synced state yet");
+  }
+
+  ReplicaState& state_;
+};
 
 int RunReplica(const ReplicaArgs& args) {
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    std::perror("socket");
+  Status status;
+  std::unique_ptr<serve::UnixListener> listener =
+      serve::UnixListener::Bind(args.socket_path, &status);
+  if (listener == nullptr) {
+    std::fprintf(stderr, "cannot listen: %s\n", status.ToString().c_str());
     return 2;
   }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (args.socket_path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "--socket path too long (max %zu bytes)\n",
-                 sizeof(addr.sun_path) - 1);
-    return 2;
-  }
-  std::strncpy(addr.sun_path, args.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ::unlink(args.socket_path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    std::perror("bind");
-    return 2;
-  }
-  if (::listen(listen_fd, 64) != 0) {
-    std::perror("listen");
-    return 2;
-  }
-
-  ReplicaState state;
-  state.listen_fd = listen_fd;
-  g_state = &state;
-  std::signal(SIGPIPE, SIG_IGN);
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
+  listener->StopOnSignals();
 
   obs::EmitBuildInfo("l1hh_replica", "replica");
   obs::SetSlowQueryThresholdNs(args.slow_query_us * 1000);
 
-  // HTTP telemetry surface.  Readiness is the standby-specific call:
-  // green only when this replica could take over right now — synced at
-  // least once AND within --ready-lag of the primary, or the primary is
-  // lost (the last synced view is then the best answer that exists).
+  ReplicaState state;
+  ReplicaBackend backend(&state);
+  const serve::QueryVerbs verbs(&backend, args.default_phi,
+                                [&listener] { listener->RequestStop(); });
+
   std::unique_ptr<obs::HttpExporter> exporter;
   if (args.http_enabled) {
     obs::HttpExporterOptions http_options;
     http_options.port = static_cast<uint16_t>(args.http_port);
-    std::map<std::string, obs::HttpExporter::Handler> handlers;
-    handlers["/metrics"] = [&state, &args] {
+    auto handlers = serve::HttpHandlers(&backend);
+    handlers["/metrics"] = [&state, &args, scrape = handlers["/metrics"]] {
       {
         std::lock_guard<std::mutex> lock(state.mutex);
-        const uint64_t lag = LagItemsLocked(state);
-        obs::GetGauge("l1hh_replica_lag_items")
-            ->Set(static_cast<int64_t>(lag));
-        // The 0/1 readiness gauge behind /readyz, so a plain /metrics
-        // scrape can alert on readiness flapping without a prober.
-        const bool ready =
-            state.syncs > 0 &&
-            (lag <= args.ready_lag ||
-             !state.primary_up.load(std::memory_order_relaxed));
-        obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
-        AuditReplicaLocked(state);
+        PublishReadyLocked(state, args.ready_lag);
       }
-      const std::vector<std::string> lines =
-          obs::Registry::Get().ExpositionLines();
-      std::string body;
-      for (const std::string& metric_line : lines) {
-        body += metric_line;
-        body += '\n';
-      }
-      return obs::HttpResponse{200, "text/plain; version=0.0.4", body};
-    };
-    handlers["/healthz"] = [] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
+      return scrape();
     };
     handlers["/readyz"] = [&state, &args] {
-      uint64_t syncs = 0, lag = 0;
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        syncs = state.syncs;
-        lag = LagItemsLocked(state);
-      }
-      const bool primary_up =
-          state.primary_up.load(std::memory_order_relaxed);
-      const bool ready =
-          syncs > 0 && (lag <= args.ready_lag || !primary_up);
-      obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
-      const std::string body =
-          (ready ? "ok" : "not ready") + std::string(" syncs=") +
-          std::to_string(syncs) + " lag_items=" + std::to_string(lag) +
-          " primary=" + (primary_up ? "up" : "lost") + "\n";
+      std::lock_guard<std::mutex> lock(state.mutex);
+      const bool ready = PublishReadyLocked(state, args.ready_lag);
+      char body[160];
+      std::snprintf(body, sizeof(body), "%s syncs=%llu lag_items=%llu "
+                    "primary=%s\n", ready ? "ok" : "not ready",
+                    static_cast<unsigned long long>(state.syncs),
+                    static_cast<unsigned long long>(LagItemsLocked(state)),
+                    state.primary_up.load(std::memory_order_relaxed)
+                        ? "up" : "lost");
       return obs::HttpResponse{ready ? 200 : 503,
                                "text/plain; charset=utf-8", body};
     };
@@ -842,40 +534,14 @@ int RunReplica(const ReplicaArgs& args) {
   std::fflush(stdout);
 
   std::thread replication(
-      [&state, &args] { ReplicationLoop(state, args); });
+      [&state, &args, &listener] { ReplicationLoop(state, args, *listener); });
+  listener->Run([&verbs](int fd) { verbs.ServeConnection(fd); });
 
-  std::vector<std::thread> connections;
-  std::vector<int> conn_fds;
-  std::mutex conn_mutex;
-  while (!state.stop.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex);
-      conn_fds.push_back(fd);
-    }
-    connections.emplace_back(
-        [&state, &args, fd] { HandleQueryConnection(&state, &args, fd); });
-  }
-
-  state.stop.store(true, std::memory_order_relaxed);
-  // The exporter's handlers read `state`; stop it before teardown.
+  // The exporter's handlers and the replication thread read `state`;
+  // stop both before it goes away.
   if (exporter != nullptr) exporter->Stop();
   replication.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex);
-    for (const int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& thread : connections) thread.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex);
-    for (const int fd : conn_fds) ::close(fd);
-  }
-  ::close(listen_fd);
-  ::unlink(args.socket_path.c_str());
+  listener.reset();
   std::printf("replicated %llu items over %llu syncs\n",
               static_cast<unsigned long long>(state.items),
               static_cast<unsigned long long>(state.syncs));
