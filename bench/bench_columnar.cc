@@ -1,31 +1,14 @@
-// Columnar ingest throughput: the three single-thread routes per
-// algorithm, the engine's per-item scatter vs partition-pass routes, and
-// the grouped (per-key) scalar vs columnar routes.
+// Columnar ingest throughput: the scalar vs batch (UpdateColumn) routes
+// per algorithm, and the grouped (per-key) scalar vs columnar routes.
 //
 //   ./bench_columnar [m] [alpha]       (defaults: 2^20 items, 1.1)
 //
 // Columns are ns/item (min of 3 alternating reps).  What each section
 // claims:
 //
-//   * summaries — `column` must at least match `batch`; algorithms with a
-//     native UpdateColumn (count_min's tiled hash pre-pass) should beat
-//     it, the loop-forwarding overrides should tie it.
-//   * routing kernels — the two producer-side dispatch strategies in
-//     isolation (no worker threads, hand-off to a sink buffer): per-item
-//     staged scatter exactly as ScatterPush does it (Mix64 then a
-//     modulo by the RUNTIME shard count, staging push_back, bulk
-//     hand-off at drain_batch) vs the partition pass exactly as
-//     PartitionPush does it (Mix64 sweep with the hoisted power-of-two
-//     mask, histogram -> prefix-sum -> scatter per 8K tile, one
-//     contiguous hand-off per shard).  This is the headline number: the
-//     partition pass keeps the 64-bit divide out of the hot loop and
-//     replaces per-item staging bookkeeping with sequential sweeps.
-//   * engine — the same two routes through the LIVE engine (UpdateBatch
-//     vs UpdateColumn, ingest + flush).  On a single-core container the
-//     workers timeshare the producer's core, so this wall-clock is
-//     apply-bound and shows only a few percent between routes; on real
-//     hardware the producer is the bottleneck for cheap summaries and
-//     the routing-kernel gap is what scales.
+//   * summaries — `column` must at least match `scalar`; algorithms with
+//     a native UpdateColumn (count_min's tiled hash pre-pass) should beat
+//     it by more than the saved virtual call.
 //   * grouped — GroupedSummary::UpdateColumn's run detection on a
 //     group-clustered column vs the scalar Update(group, item) loop.
 //
@@ -34,13 +17,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "engine/sharded_engine.h"
-#include "util/random.h"
 #include "group/grouped_summary.h"
 #include "stream/stream_generator.h"
 #include "summary/summary.h"
@@ -95,112 +75,19 @@ int main(int argc, char** argv) {
   std::printf("(all columns ns/item, min of 3 alternating reps)\n\n");
 
   // ---- Single-thread routes per algorithm ------------------------------
-  std::printf("%-20s %10s %10s %10s %9s\n", "algorithm", "scalar", "batch",
-              "column", "col/batch");
+  std::printf("%-20s %10s %10s %9s\n", "algorithm", "scalar", "column",
+              "speedup");
   for (const auto& name : RegisteredSummaryNames()) {
     const double scalar_ns = MinOf3(stream.size(), [&] {
       auto s = MakeSummary(name, options);
       for (const uint64_t x : stream) s->Update(x);
     });
-    const double batch_ns = MinOf3(stream.size(), [&] {
-      auto s = MakeSummary(name, options);
-      s->UpdateBatch(stream);
-    });
     const double column_ns = MinOf3(stream.size(), [&] {
       auto s = MakeSummary(name, options);
       s->UpdateColumn(stream.data(), stream.size());
     });
-    std::printf("%-20s %10.1f %10.1f %10.1f %8.2fx\n", name.c_str(),
-                scalar_ns, batch_ns, column_ns, batch_ns / column_ns);
-  }
-
-  // ---- Routing kernels: producer-side dispatch in isolation ------------
-  // Mirrors of ShardedEngine::ScatterPush and Producer::PartitionPush
-  // with the ring hand-off replaced by a sink memcpy, so the comparison
-  // measures the routing work itself free of worker-thread contention.
-  {
-    const size_t num_shards = 4;
-    // Defeat constant folding: ScatterPush's modulo divides by the
-    // runtime shard count, and so must the mirrored baseline.
-    volatile size_t runtime_shards = num_shards;
-    const size_t k = runtime_shards;
-    std::vector<uint64_t> sink(stream.size());
-    const double staged_ns = MinOf3(stream.size(), [&] {
-      std::vector<std::vector<uint64_t>> staging(k);
-      for (auto& s : staging) s.reserve(1024);
-      size_t out = 0;
-      for (const uint64_t item : stream) {
-        const size_t s = Mix64(item) % k;
-        staging[s].push_back(item);
-        if (staging[s].size() >= 1024) {
-          std::memcpy(sink.data() + out, staging[s].data(), 1024 * 8);
-          out += 1024;
-          staging[s].clear();
-        }
-      }
-      for (auto& s : staging) {
-        std::memcpy(sink.data() + out, s.data(), s.size() * 8);
-        out += s.size();
-        s.clear();
-      }
-    });
-    const double partition_ns = MinOf3(stream.size(), [&] {
-      constexpr size_t kTile = 8192;
-      const uint64_t mask = k - 1;  // k is a power of two here
-      std::vector<uint32_t> ids(kTile);
-      std::vector<uint64_t> scratch(kTile);
-      std::vector<size_t> starts(k + 1), cursors(k);
-      size_t out = 0;
-      for (size_t base = 0; base < stream.size(); base += kTile) {
-        const size_t take = std::min(kTile, stream.size() - base);
-        std::fill(starts.begin(), starts.end(), 0);
-        for (size_t i = 0; i < take; ++i) {
-          const auto s = static_cast<uint32_t>(Mix64(stream[base + i]) & mask);
-          ids[i] = s;
-          ++starts[s + 1];
-        }
-        for (size_t s = 1; s <= k; ++s) starts[s] += starts[s - 1];
-        for (size_t s = 0; s < k; ++s) cursors[s] = starts[s];
-        for (size_t i = 0; i < take; ++i) {
-          scratch[cursors[ids[i]]++] = stream[base + i];
-        }
-        for (size_t s = 0; s < k; ++s) {
-          std::memcpy(sink.data() + out, scratch.data() + starts[s],
-                      (starts[s + 1] - starts[s]) * 8);
-          out += starts[s + 1] - starts[s];
-        }
-      }
-    });
-    std::printf("\nrouting kernels, K=4 (producer-side dispatch only, no "
-                "workers):\n");
-    std::printf("  per-item staged scatter %8.2f ns/item\n", staged_ns);
-    std::printf("  partition pass          %8.2f ns/item  (%.2fx)\n",
-                partition_ns, staged_ns / partition_ns);
-  }
-
-  // ---- Engine routes: per-item scatter vs partition pass ---------------
-  std::printf("\nengine K=4 (ingest + flush): per-item scatter (UpdateBatch) "
-              "vs partition pass (UpdateColumn)\n");
-  std::printf("%-20s %10s %10s %9s\n", "algorithm", "per-item", "partition",
-              "speedup");
-  for (const char* name : {"misra_gries", "space_saving", "count_min",
-                           "bdw_optimal"}) {
-    ShardedEngineOptions engine_options;
-    engine_options.algorithm = name;
-    engine_options.summary = options;
-    engine_options.num_shards = 4;
-    const double scatter_ns = MinOf3(stream.size(), [&] {
-      auto engine = ShardedEngine::Create(engine_options);
-      engine->UpdateBatch(stream);
-      engine->Flush();
-    });
-    const double partition_ns = MinOf3(stream.size(), [&] {
-      auto engine = ShardedEngine::Create(engine_options);
-      engine->UpdateColumn(stream.data(), stream.size());
-      engine->Flush();
-    });
-    std::printf("%-20s %10.1f %10.1f %8.2fx\n", name, scatter_ns,
-                partition_ns, scatter_ns / partition_ns);
+    std::printf("%-20s %10.1f %10.1f %8.2fx\n", name.c_str(), scalar_ns,
+                column_ns, scalar_ns / column_ns);
   }
 
   // ---- Grouped routes --------------------------------------------------

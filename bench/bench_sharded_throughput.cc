@@ -54,7 +54,7 @@ double TimeBatch(const std::string& name, const SummaryOptions& options,
                  const std::vector<uint64_t>& stream) {
   auto summary = MakeSummary(name, options);
   const auto start = std::chrono::steady_clock::now();
-  summary->UpdateBatch(stream);
+  summary->UpdateColumn(stream.data(), stream.size());
   return NsPerItem(start, std::chrono::steady_clock::now(), stream.size());
 }
 

@@ -80,7 +80,7 @@ int main() {
       opt.stream_length = m;
       opt.seed = 7;
       auto summary = MakeSummary(name, opt);
-      summary->UpdateBatch(stream);
+      summary->UpdateColumn(stream.data(), stream.size());
       std::vector<uint8_t> bytes;
       if (!SaveSummary(*summary, &bytes).ok()) continue;
       SnapshotInfo info;

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     {
       auto baseline = MakeSummary(name, base_options);
       const auto start = std::chrono::steady_clock::now();
-      baseline->UpdateBatch(stream);
+      baseline->UpdateColumn(stream.data(), stream.size());
       base_ns = NsPerItem(start, std::chrono::steady_clock::now(),
                           stream.size());
     }
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       auto summary = MakeSummary("windowed:" + name, options);
       if (summary == nullptr) continue;
       const auto ingest_start = std::chrono::steady_clock::now();
-      summary->UpdateBatch(stream);
+      summary->UpdateColumn(stream.data(), stream.size());
       const double ingest_ns = NsPerItem(
           ingest_start, std::chrono::steady_clock::now(), stream.size());
 

@@ -44,7 +44,7 @@ int main() {
     std::fprintf(stderr, "unknown algorithm name; try `l1hh_cli list`\n");
     return 1;
   }
-  sketch->UpdateBatch(stream);  // O(1) per item
+  sketch->UpdateColumn(stream.data(), stream.size());  // O(1) per item
 
   std::printf("heavy hitters (phi=5%%, eps=1%%):\n");
   std::printf("%12s %14s %10s\n", "item", "est. count", "est. %");

@@ -52,8 +52,8 @@ int main() {
 
   auto whole = MakeSummary("space_saving", options);
   auto windowed = MakeSummary("windowed:space_saving", options);
-  whole->UpdateBatch(traffic.items);
-  windowed->UpdateBatch(traffic.items);
+  whole->UpdateColumn(traffic.items.data(), traffic.items.size());
+  windowed->UpdateColumn(traffic.items.data(), traffic.items.size());
 
   const auto* ring =
       dynamic_cast<const SlidingWindowSummary*>(windowed.get());

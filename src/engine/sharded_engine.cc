@@ -255,11 +255,7 @@ constexpr size_t kMaxProducerSlots = 4096;
 // ---- Producer handle --------------------------------------------------
 
 ShardedEngine::Producer::Producer(ShardedEngine* engine, size_t slot)
-    : engine_(engine), slot_(slot) {
-  staging_.resize(engine_->shards_.size());
-  const size_t stage = std::max<size_t>(64, engine_->options_.drain_batch);
-  for (auto& buffer : staging_) buffer.reserve(stage);
-}
+    : engine_(engine), slot_(slot) {}
 
 ShardedEngine::Producer::~Producer() {
   // Slot 0 is the engine's own handle; it dies with the engine and is
@@ -285,7 +281,7 @@ void ShardedEngine::Producer::Update(uint64_t item, uint64_t weight) {
 
 void ShardedEngine::Producer::UpdateBatch(std::span<const uint64_t> items) {
   if (!engine_->windowed()) {
-    engine_->ScatterPush(slot_, staging_, items);
+    PartitionPush(items.data(), items.size());
     return;
   }
   // Split the batch at global bucket boundaries: each chunk is enqueued
@@ -293,20 +289,8 @@ void ShardedEngine::Producer::UpdateBatch(std::span<const uint64_t> items) {
   // partition the same global position range.
   engine_->IngestWindowed(
       items.size(), [this, items](uint64_t offset, uint64_t count) {
-        engine_->ScatterPush(slot_, staging_,
-                             items.subspan(static_cast<size_t>(offset),
-                                           static_cast<size_t>(count)));
+        PartitionPush(items.data() + offset, static_cast<size_t>(count));
       });
-}
-
-void ShardedEngine::Producer::UpdateColumn(const uint64_t* items, size_t n) {
-  if (!engine_->windowed()) {
-    PartitionPush(items, n);
-    return;
-  }
-  engine_->IngestWindowed(n, [this, items](uint64_t offset, uint64_t count) {
-    PartitionPush(items + offset, static_cast<size_t>(count));
-  });
 }
 
 void ShardedEngine::Producer::PartitionPush(const uint64_t* items, size_t n) {
@@ -317,8 +301,7 @@ void ShardedEngine::Producer::PartitionPush(const uint64_t* items, size_t n) {
     return;
   }
   // Tile so the scratch stays cache-resident; each tile makes one
-  // contiguous ring push per occupied shard instead of one staging
-  // append (+ occasional flush) per item.
+  // contiguous ring push per occupied shard instead of one push per item.
   constexpr size_t kTile = 8192;
   part_shards_.resize(std::min(n, kTile));
   part_scratch_.resize(std::min(n, kTile));
@@ -326,7 +309,7 @@ void ShardedEngine::Producer::PartitionPush(const uint64_t* items, size_t n) {
   part_cursors_.assign(num_shards, 0);
   // The sweep below must agree with ShardOf (Mix64 then mod) bit for
   // bit — the differential test compares this route's shard streams
-  // against the per-item scatter route.  For power-of-two K the modulo
+  // against the per-item Update route.  For power-of-two K the modulo
   // reduces to a mask, which keeps the hot loop free of the 64-bit
   // divide and lets the compiler pipeline the mix across items.
   const bool pow2 = (num_shards & (num_shards - 1)) == 0;
@@ -522,9 +505,9 @@ void ShardedEngine::WorkerLoop(size_t first_shard, size_t last_shard) {
         const size_t n = ring->PopBatch(batch.data(), batch.size());
         if (n == 0) continue;
         drained += n;
-        // Columnar drain: same state as UpdateBatch (the differential
-        // battery pins the equivalence) but the adapters' slice-tuned
-        // loops — count_min runs its hash pre-pass per drained batch.
+        // Batch drain: state-identical to the Update loop (the
+        // differential battery pins it) but runs the adapters'
+        // slice-tuned loops — count_min hashes each drained batch ahead.
         shard.summary->UpdateColumn(batch.data(), n);
         // Release-publish the summary mutations; Flush acquires.
         shard.applied.fetch_add(n, std::memory_order_release);
@@ -699,40 +682,6 @@ void ShardedEngine::UpdateBatch(std::span<const uint64_t> items) {
   controller_->UpdateBatch(items);
 }
 
-void ShardedEngine::UpdateColumn(const uint64_t* items, size_t n) {
-  controller_->UpdateColumn(items, n);
-}
-
-void ShardedEngine::ScatterPush(size_t slot,
-                                std::vector<std::vector<uint64_t>>& staging,
-                                std::span<const uint64_t> items) {
-  if (shards_.size() == 1) {
-    // No partitioning needed; feed the ring directly.
-    PushBlocking(slot, 0, items.data(), items.size());
-    return;
-  }
-  const size_t stage_cap = std::max<size_t>(64, options_.drain_batch);
-  for (const uint64_t item : items) {
-    const size_t s = ShardOf(item);
-    std::vector<uint64_t>& stage = staging[s];
-    stage.push_back(item);
-    if (stage.size() >= stage_cap) {
-      PushBlocking(slot, s, stage.data(), stage.size());
-      stage.clear();
-    }
-  }
-  FlushStaging(slot, staging);
-}
-
-void ShardedEngine::FlushStaging(
-    size_t slot, std::vector<std::vector<uint64_t>>& staging) {
-  for (size_t s = 0; s < staging.size(); ++s) {
-    if (staging[s].empty()) continue;
-    PushBlocking(slot, s, staging[s].data(), staging[s].size());
-    staging[s].clear();
-  }
-}
-
 // ---- Producer slots ---------------------------------------------------
 
 std::unique_ptr<ShardedEngine::Producer> ShardedEngine::RegisterProducer(
@@ -805,8 +754,6 @@ void ShardedEngine::Flush() {
       obs::GetCounter("l1hh_engine_flushes_total");
   const bool obs_on = obs::Enabled();
   const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
-  // Staging buffers need no draining here: ScatterPush always flushes
-  // them before returning, so they are empty between public calls.
   IdleBackoff backoff;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const uint64_t target = ShardEnqueued(s);

@@ -46,7 +46,7 @@
 //     thread CONCURRENTLY with the controller and with other handles; a
 //     single handle must not be shared between threads without external
 //     synchronization (it owns the SPSC producer side of its rings and
-//     its scatter-staging buffers).
+//     its partition scratch).
 //   * The engine's internal workers are the only ring consumers, and
 //     each shard is owned by exactly one worker.
 //   * Flush / Estimate / HeavyHitters / MemoryUsageBytes / Checkpoint
@@ -112,7 +112,7 @@ struct ShardedEngineOptions {
   /// Per-ring capacity in items (rounded up to a power of two).  Memory
   /// scales as num_shards * max_producers rings.
   size_t queue_capacity = size_t{1} << 16;
-  /// Maximum items a worker applies per UpdateBatch drain.
+  /// Maximum items a worker applies per UpdateColumn drain.
   size_t drain_batch = 1024;
   /// Total producer slots, INCLUDING slot 0 (the engine's own
   /// Update/UpdateBatch path).  max_producers - 1 handles can be live at
@@ -172,7 +172,7 @@ struct EngineMetrics {
 class ShardedEngine {
  public:
   /// A claimed producer slot: an independent ingestion endpoint with its
-  /// own ring per shard and its own scatter-staging buffers.  Obtain via
+  /// own ring per shard and its own partition scratch.  Obtain via
   /// RegisterProducer; destroying the handle returns the slot for reuse
   /// (items already enqueued stay enqueued).  One thread per handle.
   class Producer {
@@ -186,15 +186,12 @@ class ShardedEngine {
     /// windowed engines, on the global rotation gate.
     void Update(uint64_t item, uint64_t weight = 1);
 
-    /// Enqueues a batch, scatter-partitioned to the owning shards.
+    /// Enqueues a batch through the partition pass (tiled shard-id
+    /// sweep -> counting prefix sum -> scatter into contiguous per-shard
+    /// runs, one ring push per shard per tile).  Same blocking behavior
+    /// as Update; a windowed engine splits the batch at global bucket
+    /// boundaries and partitions each chunk once its rotation has fired.
     void UpdateBatch(std::span<const uint64_t> items);
-
-    /// Columnar ingest: routes the slice with a per-batch partition pass
-    /// (tiled shard-id sweep -> counting prefix sum -> scatter into
-    /// contiguous per-shard runs, one ring push per shard per tile)
-    /// instead of UpdateBatch's per-item staging dispatch.  Same blocking
-    /// behavior and windowed-rotation gating as UpdateBatch.
-    void UpdateColumn(const uint64_t* items, size_t n);
 
     /// This handle's slot index in [1, max_producers).
     size_t slot() const { return slot_; }
@@ -203,15 +200,13 @@ class ShardedEngine {
     friend class ShardedEngine;
     Producer(ShardedEngine* engine, size_t slot);
 
-    // The non-windowed UpdateColumn body (windowed ingest calls it per
+    // The non-windowed UpdateBatch body (windowed ingest calls it per
     // rotation chunk): partition one slice and push each shard's run.
     void PartitionPush(const uint64_t* items, size_t n);
 
     ShardedEngine* engine_;
     size_t slot_;
-    // Per-shard scatter buffers, same role as the controller's.
-    std::vector<std::vector<uint64_t>> staging_;
-    // UpdateColumn partition-pass scratch (tile-sized, slot-local).
+    // Partition-pass scratch (tile-sized, slot-local).
     std::vector<uint32_t> part_shards_;
     std::vector<size_t> part_starts_;
     std::vector<size_t> part_cursors_;
@@ -245,14 +240,9 @@ class ShardedEngine {
   /// backpressure (owning shard's slot-0 ring full).
   void Update(uint64_t item, uint64_t weight = 1);
 
-  /// Enqueues a batch on slot 0, scatter-partitioned to the owning
-  /// shards.
+  /// Enqueues a batch on slot 0 through the partition pass (see
+  /// Producer::UpdateBatch).
   void UpdateBatch(std::span<const uint64_t> items);
-
-  /// Columnar ingest on slot 0: the partition-pass route (see
-  /// Producer::UpdateColumn).  Same single-controller-thread contract as
-  /// Update/UpdateBatch.
-  void UpdateColumn(const uint64_t* items, size_t n);
 
   /// Blocks until every item enqueued BEFORE the call (summed over all
   /// producer slots with acquire ordering) has been applied to its shard
@@ -445,11 +435,6 @@ class ShardedEngine {
   // Blocks until all n items are enqueued on `shard`'s ring for `slot`.
   void PushBlocking(size_t slot, size_t shard_index, const uint64_t* data,
                     size_t n);
-  void FlushStaging(size_t slot, std::vector<std::vector<uint64_t>>& staging);
-  // The pre-windowing UpdateBatch body: scatter-partition to the slot's
-  // staging buffers and bulk-push.
-  void ScatterPush(size_t slot, std::vector<std::vector<uint64_t>>& staging,
-                   std::span<const uint64_t> items);
   // Releases a slot claimed by RegisterProducer (Producer destructor).
   void ReleaseProducer(size_t slot);
   // Sum of every slot's enqueued counter for one shard / for all shards,

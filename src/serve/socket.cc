@@ -1,11 +1,12 @@
 #include "serve/socket.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <list>
 #include <thread>
-#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -180,24 +181,51 @@ void UnixListener::RequestStop() {
   ::shutdown(fd_, SHUT_RDWR);
 }
 
+namespace {
+
+// One accepted connection: its fd, the thread running its handler, and
+// the flag the handler raises on return so the accept loop can reap it.
+struct Connection {
+  explicit Connection(int fd) : fd(fd) {}
+  const int fd;
+  std::thread thread;
+  std::atomic<bool> done{false};
+};
+
+}  // namespace
+
 void UnixListener::Run(const std::function<void(int fd)>& handle) {
-  std::vector<int> conn_fds;
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;  // stable addresses for the handlers
+  // Joins and closes every connection whose handler has returned, so a
+  // long-running server holds fds and threads only for live clients.
+  const auto reap_finished = [&connections] {
+    connections.remove_if([](Connection& c) {
+      if (!c.done.load(std::memory_order_acquire)) return false;
+      c.thread.join();
+      ::close(c.fd);
+      return true;
+    });
+  };
   while (!stopping()) {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // RequestStop() shut the listener down
     }
-    conn_fds.push_back(fd);
-    connections.emplace_back([&handle, fd] { handle(fd); });
+    reap_finished();
+    Connection& c = connections.emplace_back(fd);
+    c.thread = std::thread([&handle, &c] {
+      handle(c.fd);
+      c.done.store(true, std::memory_order_release);
+    });
   }
   stop_.store(true, std::memory_order_relaxed);
-  // Kick every live connection off its read, join the handlers, and only
-  // then close the fds, so no handler ever touches a reused number.
-  for (const int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& connection : connections) connection.join();
-  for (const int fd : conn_fds) ::close(fd);
+  // Every fd still listed is open (reaping closes and unlists together).
+  // Kick each off its read, join the handlers, and only then close the
+  // fds, so no handler ever touches a reused number.
+  for (Connection& c : connections) ::shutdown(c.fd, SHUT_RDWR);
+  for (Connection& c : connections) c.thread.join();
+  for (Connection& c : connections) ::close(c.fd);
 }
 
 }  // namespace serve

@@ -71,9 +71,10 @@ class LineReader {
 int ConnectUnix(const std::string& path, Status* status);
 
 // A listening Unix socket and the accept loop on it: one thread per
-// connection until RequestStop(), then every connection is shut down,
-// joined and closed. The listening fd is closed exactly once, by the
-// destructor, which also unlinks the path.
+// connection, reaped (joined and closed) once its handler returns; on
+// RequestStop() every live connection is shut down, joined and closed.
+// The listening fd is closed exactly once, by the destructor, which also
+// unlinks the path.
 class UnixListener {
  public:
   // Binds `path` (replacing a stale socket file) and listens. nullptr
@@ -96,8 +97,9 @@ class UnixListener {
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
 
   // Accepts until RequestStop(), running `handle(fd)` on a thread per
-  // connection. On return every connection has been shut down, its
-  // handler joined and its fd closed.
+  // connection. Finished handlers are joined and their fds closed from
+  // the accept loop, at the next accept. On return every connection has
+  // been shut down, its handler joined and its fd closed.
   void Run(const std::function<void(int fd)>& handle);
 
  private:

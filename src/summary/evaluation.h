@@ -129,7 +129,7 @@ inline SummaryRunResult RunRegisteredSummary(
   r.ok = true;
 
   const auto start = std::chrono::steady_clock::now();
-  summary->UpdateBatch(stream);
+  summary->UpdateColumn(stream.data(), stream.size());
   const auto elapsed = std::chrono::steady_clock::now() - start;
   r.update_ns =
       static_cast<double>(

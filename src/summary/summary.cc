@@ -108,10 +108,6 @@ class MisraGriesSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) mg_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) mg_.Insert(x);
-  }
-
   void UpdateColumn(const uint64_t* items, size_t n) override {
     for (size_t i = 0; i < n; ++i) mg_.Insert(items[i]);
   }
@@ -176,10 +172,6 @@ class SpaceSavingSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) ss_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) ss_.Insert(x);
-  }
-
   void UpdateColumn(const uint64_t* items, size_t n) override {
     for (size_t i = 0; i < n; ++i) ss_.Insert(items[i]);
   }
@@ -241,10 +233,6 @@ class LossyCountingSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) lc_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) lc_.Insert(x);
-  }
-
   void UpdateColumn(const uint64_t* items, size_t n) override {
     for (size_t i = 0; i < n; ++i) lc_.Insert(items[i]);
   }
@@ -298,10 +286,6 @@ class StickySamplingSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) ss_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) ss_.Insert(x);
-  }
-
   // Sequential by necessity: each Insert draws from the sampling PRNG, so
   // the column loop must consume randomness in exactly the scalar order.
   void UpdateColumn(const uint64_t* items, size_t n) override {
@@ -353,10 +337,6 @@ class ExactCounterSummary : public Summary {
 
   void Update(uint64_t item, uint64_t weight) override {
     exact_.Insert(item, weight);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) exact_.Insert(x);
   }
 
   void UpdateColumn(const uint64_t* items, size_t n) override {
@@ -429,12 +409,6 @@ class CountMinSummary : public Summary {
 
   void Update(uint64_t item, uint64_t weight) override {
     for (uint64_t i = 0; i < weight; ++i) cm_.Insert(item);
-  }
-
-  // Tight batch path: InsertBatch runs the fused insert+estimate loop
-  // (one hash per row per item) with no virtual dispatch per item.
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    cm_.InsertBatch(items.data(), items.size());
   }
 
   // Native columnar path: a vectorizable multiply-shift hash pre-pass
@@ -518,15 +492,6 @@ class CountSketchSummary : public Summary {
   void Update(uint64_t item, uint64_t weight) override {
     cs_.Insert(item, static_cast<int64_t>(weight));
     TrackCandidate(item);
-  }
-
-  // Tight batch path: one non-virtual loop over insert + candidate
-  // tracking (state-identical to the Update loop).
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) {
-      cs_.Insert(x, 1);
-      TrackCandidate(x);
-    }
   }
 
   void UpdateColumn(const uint64_t* items, size_t n) override {
@@ -634,10 +599,6 @@ class HashedMisraGriesSummary : public Summary {
 
   void Update(uint64_t item, uint64_t weight) override {
     for (uint64_t i = 0; i < weight; ++i) table_.Insert(item);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) table_.Insert(x);
   }
 
   void UpdateColumn(const uint64_t* items, size_t n) override {

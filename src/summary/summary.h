@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,22 +97,17 @@ class Summary {
   /// hot paths unless the structure is a linear sketch.
   virtual void Update(uint64_t item, uint64_t weight = 1) = 0;
 
-  /// Processes a batch of unit-weight updates.  The default forwards to
-  /// Update; implementations may override with a tighter loop.
-  virtual void UpdateBatch(std::span<const uint64_t> items) {
-    for (const uint64_t x : items) Update(x, 1);
-  }
-
-  /// Columnar ingest: `n` unit-weight updates from a contiguous column
-  /// slice (the database deployment shape — one column chunk per call).
-  /// Contract: state-identical to calling Update(items[i], 1) for
-  /// i = 0..n-1 in order; overrides may only reorder order-independent
-  /// work such as hash precomputation (tests/columnar_differential_test.cc
-  /// pins bit-for-bit snapshot equality against the scalar loop).  The
-  /// default forwards to UpdateBatch; hot adapters override with
-  /// slice-tuned loops (see docs/GROUPED.md#columnar-ingest).
+  /// The one batch ingest route: `n` unit-weight updates from a
+  /// contiguous slice (a network batch, a column chunk, an engine shard's
+  /// ring segment).  Contract: state-identical to calling
+  /// Update(items[i], 1) for i = 0..n-1 in order; overrides may only
+  /// reorder order-independent work such as hash precomputation
+  /// (tests/columnar_differential_test.cc pins bit-for-bit snapshot
+  /// equality against the scalar loop).  The default is that loop; hot
+  /// adapters override it to drop the per-item virtual call (see
+  /// docs/GROUPED.md#the-columnar-ingest-surface).
   virtual void UpdateColumn(const uint64_t* items, size_t n) {
-    UpdateBatch({items, n});
+    for (size_t i = 0; i < n; ++i) Update(items[i], 1);
   }
 
   /// Estimated frequency of `item` in full-stream units.  Whether this

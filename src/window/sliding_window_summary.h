@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,10 +84,9 @@ class SlidingWindowSummary : public Summary {
   SummaryOptions Options() const override { return options_; }
 
   void Update(uint64_t item, uint64_t weight = 1) override;
-  void UpdateBatch(std::span<const uint64_t> items) override;
-  /// Same bucket-chunking as UpdateBatch, forwarding each chunk to the
-  /// live bucket's columnar path so the inner structure's slice-tuned
-  /// loop runs even inside a window.
+  /// Cuts the slice at bucket boundaries (rotating between chunks) and
+  /// forwards each chunk to the live bucket's UpdateColumn, so the inner
+  /// structure's slice-tuned loop runs even inside a window.
   void UpdateColumn(const uint64_t* items, size_t n) override;
 
   /// Estimated frequency of `item` over the covered window (the last
@@ -145,7 +143,7 @@ class SlidingWindowSummary : public Summary {
   /// Items in the live (partial) bucket.
   uint64_t live_bucket_items() const;
 
-  /// When true, Update/UpdateBatch never rotate; the owner calls Rotate()
+  /// When true, Update/UpdateColumn never rotate; the owner calls Rotate()
   /// at its own (e.g. global-position) bucket boundaries.  The sharded
   /// engine sets this on per-shard windows so all K rings rotate in
   /// lockstep with the global stream.

@@ -7,8 +7,8 @@
 // exit buried in a CI log.
 //
 // The claim gated here is deliberately modest: for every registered
-// algorithm, UpdateBatch and UpdateColumn must not be SLOWER than the
-// scalar Update loop beyond the noise tolerance.  They exist to be
+// algorithm, the batch route (UpdateColumn) must not be SLOWER than the
+// scalar Update loop beyond the noise tolerance.  It exists to be
 // faster; an adapter change that quietly reverts a tight loop to
 // per-item virtual dispatch shows up as a 1.3-2x regression, far outside
 // any honest tolerance.
@@ -64,7 +64,7 @@ SummaryOptions PerfOptions(uint64_t stream_length) {
   return o;
 }
 
-enum class Route { kScalar, kBatch, kColumn };
+enum class Route { kScalar, kColumn };
 
 double TimeRoute(const std::string& name, const SummaryOptions& options,
                  const std::vector<uint64_t>& stream, Route route) {
@@ -73,9 +73,6 @@ double TimeRoute(const std::string& name, const SummaryOptions& options,
   switch (route) {
     case Route::kScalar:
       for (const uint64_t x : stream) summary->Update(x);
-      break;
-    case Route::kBatch:
-      summary->UpdateBatch(stream);
       break;
     case Route::kColumn:
       summary->UpdateColumn(stream.data(), stream.size());
@@ -93,14 +90,12 @@ double TimeRoute(const std::string& name, const SummaryOptions& options,
 // disturbed reps instead of averaging them in.
 void Measure(const std::string& name, const SummaryOptions& options,
              const std::vector<uint64_t>& stream, double& scalar_ns,
-             double& batch_ns, double& column_ns) {
-  scalar_ns = batch_ns = column_ns = 0;
+             double& column_ns) {
+  scalar_ns = column_ns = 0;
   for (int rep = 0; rep < 5; ++rep) {
     const double s = TimeRoute(name, options, stream, Route::kScalar);
-    const double b = TimeRoute(name, options, stream, Route::kBatch);
     const double c = TimeRoute(name, options, stream, Route::kColumn);
     scalar_ns = rep == 0 ? s : std::min(scalar_ns, s);
-    batch_ns = rep == 0 ? b : std::min(batch_ns, b);
     column_ns = rep == 0 ? c : std::min(column_ns, c);
   }
 }
@@ -113,16 +108,11 @@ TEST(BatchPerfTest, BatchAndColumnNeverSlowerThanScalar) {
   const SummaryOptions options = PerfOptions(m);
   for (const auto& name : RegisteredSummaryNames()) {
     SCOPED_TRACE(name);
-    double scalar_ns = 0, batch_ns = 0, column_ns = 0;
-    Measure(name, options, stream, scalar_ns, batch_ns, column_ns);
+    double scalar_ns = 0, column_ns = 0;
+    Measure(name, options, stream, scalar_ns, column_ns);
     const double per_item = 1.0 / static_cast<double>(stream.size());
     RecordProperty(name + "_scalar_ns_per_item", scalar_ns * per_item);
-    RecordProperty(name + "_batch_ns_per_item", batch_ns * per_item);
     RecordProperty(name + "_column_ns_per_item", column_ns * per_item);
-    EXPECT_LE(batch_ns, tolerance * scalar_ns)
-        << name << ": UpdateBatch " << batch_ns * per_item
-        << " ns/item vs scalar " << scalar_ns * per_item
-        << " ns/item exceeds L1HH_PERF_TOLERANCE=" << tolerance;
     EXPECT_LE(column_ns, tolerance * scalar_ns)
         << name << ": UpdateColumn " << column_ns * per_item
         << " ns/item vs scalar " << scalar_ns * per_item

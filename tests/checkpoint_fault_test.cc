@@ -495,7 +495,7 @@ TEST(CheckpointFaultTest, DeltaContainerRoundTripsAndRefusesWrongBase) {
 
   auto live = MakeSummary("windowed:space_saving", opt);
   ASSERT_NE(live, nullptr);
-  live->UpdateBatch({stream.data(), 3000});
+  live->UpdateColumn(stream.data(), 3000);
 
   // Clone the base via a full snapshot.
   std::vector<uint8_t> base_bytes;
@@ -510,7 +510,7 @@ TEST(CheckpointFaultTest, DeltaContainerRoundTripsAndRefusesWrongBase) {
   const uint64_t base_items = follower->ItemsProcessed();
 
   // Advance the live side across a couple of rotations and delta.
-  live->UpdateBatch({stream.data() + 3000, 1200});
+  live->UpdateColumn(stream.data() + 3000, 1200);
   std::vector<uint8_t> delta_bytes;
   ASSERT_TRUE(
       SaveSummaryDelta(*live, base_rotations, base_items, &delta_bytes).ok());
@@ -538,7 +538,7 @@ TEST(CheckpointFaultTest, DeltaContainerRoundTripsAndRefusesWrongBase) {
   // A tail spanning the whole ring is "write a full snapshot instead".
   auto wrapped = MakeSummary("windowed:space_saving", opt);
   ASSERT_NE(wrapped, nullptr);
-  wrapped->UpdateBatch({stream.data(), 8000});  // > 8 rotations past base 0
+  wrapped->UpdateColumn(stream.data(), 8000);  // > 8 rotations past base 0
   EXPECT_TRUE(SaveSummaryDelta(*wrapped, 0, 0, &unused).IsInvalidArgument());
 
   // Flipping a payload bit is a CRC Corruption before anything mutates.

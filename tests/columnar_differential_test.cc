@@ -10,6 +10,7 @@
 // and columns aliasing one key, because slicing is exactly what an
 // UpdateColumn override could get wrong while looking correct on
 // whole-stream feeds.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -159,49 +160,70 @@ TEST(ColumnarDifferentialTest, SlicesAliasingOneKey) {
   }
 }
 
-// The engine's partition-pass route (UpdateColumn) must land exactly the
-// same per-shard substreams as the per-item scatter route (UpdateBatch):
-// every occurrence of an item on the same shard, in stream order.
-TEST(ColumnarDifferentialTest, EnginePartitionPassMatchesScatter) {
+// The engine's one batch route (UpdateBatch, the partition pass) must
+// land exactly the per-shard substreams the per-item Update route does:
+// every occurrence of an item on the same shard, in stream order, and —
+// for a windowed engine — every item in the same global bucket.  Slice
+// sizes are mixed so tile and bucket boundaries land mid-batch.
+void ExpectEngineBatchEqualsPerItem(const std::string& name,
+                                    size_t num_shards) {
+  SCOPED_TRACE(name + " / K=" + std::to_string(num_shards));
   const auto stream =
       MakeZipfStream(uint64_t{1} << 16, 1.2, 60000, /*seed=*/23);
+  ShardedEngineOptions options;
+  options.algorithm = name;
+  options.summary = TestOptions(stream.size());
+  options.num_shards = num_shards;
+  options.num_threads = 2;
+  auto per_item = ShardedEngine::Create(options);
+  auto batch = ShardedEngine::Create(options);
+  ASSERT_NE(per_item, nullptr);
+  ASSERT_NE(batch, nullptr);
+
+  for (const uint64_t item : stream) per_item->Update(item);
+  size_t offset = 0;
+  const size_t sizes[] = {1, 7, 4096, 513};
+  size_t i = 0;
+  while (offset < stream.size()) {
+    const size_t take = std::min(sizes[i++ % 4], stream.size() - offset);
+    batch->UpdateBatch({stream.data() + offset, take});
+    offset += take;
+  }
+
+  per_item->Flush();
+  batch->Flush();
+  EXPECT_EQ(per_item->ItemsProcessed(), batch->ItemsProcessed());
+  EXPECT_EQ(per_item->ShardItemCounts(), batch->ShardItemCounts());
+  const auto a = per_item->HeavyHitters(options.summary.phi);
+  const auto b = batch->HeavyHitters(options.summary.phi);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].item, b[k].item);
+    EXPECT_EQ(a[k].estimate, b[k].estimate);
+  }
+  EXPECT_EQ(Capture(per_item->MergedView()), Capture(batch->MergedView()));
+}
+
+TEST(ColumnarDifferentialTest, EngineBatchMatchesPerItemPowerOfTwoShards) {
   for (const std::string name :
        {"exact", "misra_gries", "count_min", "bdw_optimal"}) {
-    SCOPED_TRACE(name);
-    ShardedEngineOptions options;
-    options.algorithm = name;
-    options.summary = TestOptions(stream.size());
-    options.num_shards = 4;
-    options.num_threads = 2;
-    auto scatter = ShardedEngine::Create(options);
-    auto partition = ShardedEngine::Create(options);
-    ASSERT_NE(scatter, nullptr);
-    ASSERT_NE(partition, nullptr);
-
-    // Mixed slice sizes so tile boundaries land mid-stream.
-    scatter->UpdateBatch(stream);
-    size_t offset = 0;
-    const size_t sizes[] = {1, 7, 4096, 513};
-    size_t i = 0;
-    while (offset < stream.size()) {
-      const size_t take =
-          std::min(sizes[i++ % 4], stream.size() - offset);
-      partition->UpdateColumn(stream.data() + offset, take);
-      offset += take;
-    }
-
-    scatter->Flush();
-    partition->Flush();
-    EXPECT_EQ(scatter->ItemsProcessed(), partition->ItemsProcessed());
-    EXPECT_EQ(scatter->ShardItemCounts(), partition->ShardItemCounts());
-    const auto a = scatter->HeavyHitters(options.summary.phi);
-    const auto b = partition->HeavyHitters(options.summary.phi);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].item, b[k].item);
-      EXPECT_EQ(a[k].estimate, b[k].estimate);
-    }
+    ExpectEngineBatchEqualsPerItem(name, 4);
   }
+}
+
+// K=3 takes the partition pass's modulo branch instead of the mask.
+TEST(ColumnarDifferentialTest, EngineBatchMatchesPerItemThreeShards) {
+  for (const std::string name :
+       {"exact", "misra_gries", "count_min", "bdw_optimal"}) {
+    ExpectEngineBatchEqualsPerItem(name, 3);
+  }
+}
+
+// Bucket width 8192/4 = 2048: the 4096 and 513 slices straddle global
+// bucket boundaries, so the batch is split and gated per rotation chunk.
+TEST(ColumnarDifferentialTest, EngineBatchMatchesPerItemWindowed) {
+  ExpectEngineBatchEqualsPerItem("windowed:space_saving", 4);
+  ExpectEngineBatchEqualsPerItem("windowed:space_saving", 3);
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ RunVerdict CheckDefinitionOneContract(const std::string& algorithm,
   if (shards == 1) {
     summary = MakeSummary(algorithm, options);
     if (summary == nullptr) return {false, "factory returned nullptr"};
-    summary->UpdateBatch(stream);
+    summary->UpdateColumn(stream.data(), stream.size());
   } else {
     ShardedEngineOptions engine_options;
     engine_options.algorithm = algorithm;

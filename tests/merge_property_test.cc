@@ -80,7 +80,7 @@ class MergePropertyTest : public testing::TestWithParam<std::string> {
 
   static std::unique_ptr<Summary> Ingest(const std::vector<uint64_t>& part) {
     auto summary = Make();
-    summary->UpdateBatch(part);
+    summary->UpdateColumn(part.data(), part.size());
     return summary;
   }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include <unistd.h>
 
 #include "engine/sharded_engine.h"
+#include "serve/socket.h"
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 
@@ -431,6 +433,52 @@ TEST(ReplicationTest, StandbyRefusesMalformedEstimateArguments) {
     EXPECT_EQ(admin.ReadLine(), "ok");
   }
   ExpectExitedCleanly(primary);
+}
+
+// The standby commits a sync round only if every line of it parses. A
+// fake primary answers `replicate` with a valid rconf and then
+// "rsync 5x"; the standby must refuse the round instead of committing
+// items=5.
+TEST(ReplicationTest, StandbyRefusesMalformedSyncLine) {
+  const std::string primary_sock =
+      testing::TempDir() + "/repl_strict_primary.sock";
+  const std::string replica_sock =
+      testing::TempDir() + "/repl_strict_standby.sock";
+  Status status;
+  auto fake_primary = serve::UnixListener::Bind(primary_sock, &status);
+  ASSERT_NE(fake_primary, nullptr) << status.ToString();
+  std::atomic<bool> round_over{false};
+  std::thread accept_loop([&fake_primary, &round_over] {
+    fake_primary->Run([&round_over](int fd) {
+      serve::LineReader reader(fd);
+      std::string line;
+      if (!reader.ReadLine(&line) || line != "replicate") return;
+      serve::WriteLine(fd, "rconf shards=1 algo=exact");
+      serve::WriteLine(fd, "rsync 5x");
+      // The standby either hangs up on the round or asks for the next
+      // sync; either way it has finished with this one.
+      reader.ReadLine(&line);
+      round_over.store(true);
+    });
+  });
+  const pid_t replica = StartReplica(primary_sock, replica_sock);
+  ASSERT_GT(replica, 0);
+
+  Client standby(replica_sock);
+  for (int attempt = 0; attempt < 400 && !round_over.load(); ++attempt) {
+    ::usleep(50 * 1000);
+  }
+  EXPECT_TRUE(round_over.load());
+  const std::string stats = standby.Stats();
+  EXPECT_NE(stats.find(" syncs=0 "), std::string::npos) << stats;
+  EXPECT_NE(stats.find("items=0 "), std::string::npos) << stats;
+
+  // Stop the fake first: it holds the standby's replication connection.
+  fake_primary->RequestStop();
+  accept_loop.join();
+  standby.SendLine("shutdown");
+  EXPECT_EQ(standby.ReadLine(), "ok");
+  ExpectExitedCleanly(replica);
 }
 
 // A --primary path that cannot fit sockaddr_un::sun_path is refused at

@@ -1,13 +1,19 @@
 // In-process test of the shared query-verb table (src/serve/, ctest
 // label: engine): drives QueryVerbs over a socketpair() against a fake
 // QueryBackend, with no forked binary. Pins the reply framing of every
-// verb, the error text for every malformed argument, and connection
-// handling (empty lines, quit, shutdown).
+// verb, the error text for every malformed argument, connection
+// handling (empty lines, quit, shutdown), and the listener's reaping of
+// finished connections.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -262,6 +268,56 @@ TEST(ServeCodecTest, UnixPathsBeyondSunPathAreRefused) {
   status = Status::Ok();
   EXPECT_EQ(ConnectUnix(too_long, &status), -1);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+size_t OpenFdCount() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator()));
+}
+
+// A long-running server must not hold an fd and an unjoined thread for
+// every client it has ever served: the accept loop reaps connections
+// whose handler has returned.
+TEST(ServeListenerTest, FinishedConnectionsAreReaped) {
+  std::string dir = testing::TempDir() + "/l1hh_listener_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr) << std::strerror(errno);
+  const std::string path = dir + "/listener.sock";
+  Status status;
+  auto listener = UnixListener::Bind(path, &status);
+  ASSERT_NE(listener, nullptr) << status.ToString();
+  std::thread accept_loop([&listener] {
+    listener->Run([](int fd) {
+      LineReader reader(fd);
+      std::string line;
+      while (reader.ReadLine(&line)) WriteLine(fd, "ok " + line);
+    });
+  });
+
+  const size_t before = OpenFdCount();
+  int served = 0;
+  for (; served < 300; ++served) {
+    const int fd = ConnectUnix(path, &status);
+    if (fd < 0) break;
+    // A round trip proves the handler ran before the client hangs up.
+    LineReader reader(fd);
+    std::string reply;
+    const bool echoed = WriteLine(fd, "ping") && reader.ReadLine(&reply) &&
+                        reply == "ok ping";
+    ::close(fd);
+    if (!echoed) break;
+  }
+  const size_t after = OpenFdCount();
+  listener->RequestStop();
+  accept_loop.join();
+  listener.reset();
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(served, 300) << status.ToString();
+  // Only the last few connections may still await their reap.
+  EXPECT_LE(after, before + 8)
+      << "open fds grew from " << before << " to " << after << " over "
+      << served << " sequential connections";
 }
 
 }  // namespace

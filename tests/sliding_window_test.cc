@@ -129,7 +129,7 @@ TEST(SlidingWindowTest, ExactInnerReportsExactSuffixCounts) {
   ASSERT_NE(window, nullptr);
   std::vector<uint64_t> stream;
   for (uint64_t i = 0; i < 555; ++i) stream.push_back(i % 13);
-  window->UpdateBatch(stream);
+  window->UpdateColumn(stream.data(), stream.size());
   // The covered suffix is the last window_items() of the stream; a
   // windowed exact counter must report exactly its counts.
   const uint64_t covered = window->window_items();

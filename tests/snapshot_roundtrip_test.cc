@@ -110,7 +110,7 @@ TEST_P(SnapshotRoundTripTest, SaveLoadPreservesAnswersExactly) {
   const auto stream = TestStream();
   auto original = MakeSummary(GetParam(), Options());
   ASSERT_NE(original, nullptr);
-  original->UpdateBatch(stream);
+  original->UpdateColumn(stream.data(), stream.size());
 
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(SaveSummary(*original, &bytes).ok());
@@ -126,7 +126,7 @@ TEST_P(SnapshotRoundTripTest, ContinueAfterRestoreMatchesUninterrupted) {
   const size_t half = stream.size() / 2;
   auto uninterrupted = MakeSummary(GetParam(), Options());
   ASSERT_NE(uninterrupted, nullptr);
-  uninterrupted->UpdateBatch({stream.data(), half});
+  uninterrupted->UpdateColumn(stream.data(), half);
 
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(SaveSummary(*uninterrupted, &bytes).ok());
@@ -136,8 +136,8 @@ TEST_P(SnapshotRoundTripTest, ContinueAfterRestoreMatchesUninterrupted) {
 
   // Both continue over the second half; the restored one must track the
   // uninterrupted one bit for bit (PRNG state included).
-  uninterrupted->UpdateBatch({stream.data() + half, stream.size() - half});
-  restored->UpdateBatch({stream.data() + half, stream.size() - half});
+  uninterrupted->UpdateColumn(stream.data() + half, stream.size() - half);
+  restored->UpdateColumn(stream.data() + half, stream.size() - half);
   ExpectSameAnswers(*uninterrupted, *restored, ProbeIds(stream));
 }
 
@@ -145,7 +145,7 @@ TEST_P(SnapshotRoundTripTest, SnapshotInfoEchoesConstruction) {
   const auto stream = TestStream();
   auto summary = MakeSummary(GetParam(), Options());
   ASSERT_NE(summary, nullptr);
-  summary->UpdateBatch(stream);
+  summary->UpdateColumn(stream.data(), stream.size());
 
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(SaveSummary(*summary, &bytes).ok());
@@ -167,7 +167,7 @@ TEST_P(SnapshotRoundTripTest, FileRoundTrip) {
   const auto stream = TestStream();
   auto summary = MakeSummary(GetParam(), Options());
   ASSERT_NE(summary, nullptr);
-  summary->UpdateBatch(stream);
+  summary->UpdateColumn(stream.data(), stream.size());
 
   const std::string path =
       testing::TempDir() + "/snap_" + GetParam() + ".l1hh";
@@ -185,7 +185,7 @@ TEST_P(SnapshotRoundTripTest, CorruptInputIsRejectedCleanly) {
   const auto stream = TestStream();
   auto summary = MakeSummary(GetParam(), Options());
   ASSERT_NE(summary, nullptr);
-  summary->UpdateBatch({stream.data(), stream.size() / 4});
+  summary->UpdateColumn(stream.data(), stream.size() / 4);
 
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(SaveSummary(*summary, &bytes).ok());
@@ -258,7 +258,7 @@ TEST_P(SnapshotRoundTripTest, ResealedHeaderTamperIsSafe) {
   auto summary = MakeSummary(GetParam(), Options());
   ASSERT_NE(summary, nullptr);
   const auto stream = TestStream();
-  summary->UpdateBatch({stream.data(), stream.size() / 4});
+  summary->UpdateColumn(stream.data(), stream.size() / 4);
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(SaveSummary(*summary, &bytes).ok());
 
@@ -333,8 +333,8 @@ TEST_P(SnapshotMergeTest, MergeOfLoadedSnapshotsEqualsInMemoryMerge) {
   auto b = MakeSummary(GetParam(), Options());
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  a->UpdateBatch({stream.data(), half});
-  b->UpdateBatch({stream.data() + half, stream.size() - half});
+  a->UpdateColumn(stream.data(), half);
+  b->UpdateColumn(stream.data() + half, stream.size() - half);
 
   std::vector<uint8_t> bytes_a, bytes_b;
   ASSERT_TRUE(SaveSummary(*a, &bytes_a).ok());

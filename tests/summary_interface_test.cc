@@ -79,7 +79,7 @@ TEST_P(SummaryInterfaceTest, FactoryReportsItsOwnName) {
 
 TEST_P(SummaryInterfaceTest, RecallAndPrecisionOnZipfStream) {
   auto summary = Make();
-  summary->UpdateBatch(Stream());
+  summary->UpdateColumn(Stream().data(), Stream().size());
   EXPECT_EQ(summary->ItemsProcessed(), kStreamLength);
 
   const double m = static_cast<double>(kStreamLength);
@@ -101,7 +101,7 @@ TEST_P(SummaryInterfaceTest, RecallAndPrecisionOnZipfStream) {
 
 TEST_P(SummaryInterfaceTest, EstimatesOfHeavyItemsWithinContract) {
   auto summary = Make();
-  summary->UpdateBatch(Stream());
+  summary->UpdateColumn(Stream().data(), Stream().size());
   const double m = static_cast<double>(kStreamLength);
   for (const auto& t : Truth().HeavyHitters(
            static_cast<uint64_t>(kPhi * m) + 1)) {
@@ -116,7 +116,7 @@ TEST_P(SummaryInterfaceTest, EstimatesOfHeavyItemsWithinContract) {
 TEST_P(SummaryInterfaceTest, UpdateBatchMatchesUpdateLoop) {
   auto batched = Make();
   auto looped = Make();
-  batched->UpdateBatch(Stream());
+  batched->UpdateColumn(Stream().data(), Stream().size());
   for (const uint64_t x : Stream()) looped->Update(x);
 
   EXPECT_EQ(batched->ItemsProcessed(), looped->ItemsProcessed());
@@ -144,7 +144,7 @@ TEST_P(SummaryInterfaceTest, WeightedUpdateMatchesRepeatedUpdate) {
 
 TEST_P(SummaryInterfaceTest, MemoryUsageIsPositiveAndSublinearIshForSketches) {
   auto summary = Make();
-  summary->UpdateBatch(Stream());
+  summary->UpdateColumn(Stream().data(), Stream().size());
   EXPECT_GT(summary->MemoryUsageBytes(), 0u) << GetParam();
 }
 
@@ -157,8 +157,8 @@ TEST_P(SummaryInterfaceTest, MergeCombinesDisjointHalves) {
   auto right = Make();
   const auto& stream = Stream();
   const size_t half = stream.size() / 2;
-  left->UpdateBatch({stream.data(), half});
-  right->UpdateBatch({stream.data() + half, stream.size() - half});
+  left->UpdateColumn(stream.data(), half);
+  right->UpdateColumn(stream.data() + half, stream.size() - half);
   ASSERT_TRUE(left->Merge(*right).ok()) << GetParam();
 
   const double m = static_cast<double>(kStreamLength);

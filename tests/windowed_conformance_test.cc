@@ -192,8 +192,7 @@ TEST_P(WindowedDriftConformanceTest, EvictsExpiredAndRecallsFreshHeavies) {
     const size_t check_at = static_cast<size_t>(
         drift.phase_starts[kPhases - 1] + kWindow + kWindow / kBuckets);
     ASSERT_LT(check_at, drift.items.size());
-    summary->UpdateBatch(
-        {drift.items.data(), check_at});
+    summary->UpdateColumn(drift.items.data(), check_at);
     std::vector<uint64_t> expired;
     for (size_t p = 0; p + 1 < kPhases; ++p) {
       expired.insert(expired.end(), drift.planted_ids[p].begin(),
@@ -206,8 +205,8 @@ TEST_P(WindowedDriftConformanceTest, EvictsExpiredAndRecallsFreshHeavies) {
                                         expired);
 
     // Finish the stream and re-check at the end.
-    summary->UpdateBatch({drift.items.data() + check_at,
-                          drift.items.size() - check_at});
+    summary->UpdateColumn(drift.items.data() + check_at,
+                          drift.items.size() - check_at);
     Verdict end = CheckWindowedContract(summary->HeavyHitters(kPhi),
                                         drift.items,
                                         drift.planted_ids[kPhases - 1],
@@ -287,17 +286,17 @@ TEST_P(WindowedDriftConformanceTest, RestoreMidBucketEqualsUninterrupted) {
 
   auto uninterrupted = MakeSummary(name, WindowedOptions(seed));
   ASSERT_NE(uninterrupted, nullptr) << name;
-  uninterrupted->UpdateBatch(drift.items);
+  uninterrupted->UpdateColumn(drift.items.data(), drift.items.size());
 
   auto first_half = MakeSummary(name, WindowedOptions(seed));
-  first_half->UpdateBatch({drift.items.data(), split});
+  first_half->UpdateColumn(drift.items.data(), split);
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(SaveSummary(*first_half, &bytes).ok()) << name;
   Status status;
   auto resumed = LoadSummary(bytes, &status);
   ASSERT_NE(resumed, nullptr) << name << ": " << status.ToString();
-  resumed->UpdateBatch(
-      {drift.items.data() + split, drift.items.size() - split});
+  resumed->UpdateColumn(
+      drift.items.data() + split, drift.items.size() - split);
 
   auto* a = dynamic_cast<SlidingWindowSummary*>(uninterrupted.get());
   auto* b = dynamic_cast<SlidingWindowSummary*>(resumed.get());
@@ -335,7 +334,7 @@ TEST(WindowedEngineTest, ShardedExactWindowEqualsSingleRing) {
   // clock), same coverage, identical estimates.
   const DriftStream drift = MakeDrift(7);
   auto single = MakeSummary("windowed:exact", WindowedOptions(7));
-  single->UpdateBatch(drift.items);
+  single->UpdateColumn(drift.items.data(), drift.items.size());
 
   ShardedEngineOptions engine_options;
   engine_options.algorithm = "windowed:exact";
@@ -446,7 +445,7 @@ TEST(WindowedEngineTest, LockstepProducersEqualSingleRing) {
   const DriftStream drift = MakeDrift(17);
   auto single = MakeSummary("windowed:exact", WindowedOptions(17));
   ASSERT_NE(single, nullptr);
-  single->UpdateBatch(drift.items);
+  single->UpdateColumn(drift.items.data(), drift.items.size());
 
   ShardedEngineOptions engine_options;
   engine_options.algorithm = "windowed:exact";
@@ -633,8 +632,8 @@ TEST(WindowedEngineTest, SinceTimeZeroSummaryKeepsStaleHeavies) {
   SummaryOptions options = WindowedOptions(13);
   auto whole = MakeSummary("exact", options);
   auto windowed = MakeSummary("windowed:exact", options);
-  whole->UpdateBatch(drift.items);
-  windowed->UpdateBatch(drift.items);
+  whole->UpdateColumn(drift.items.data(), drift.items.size());
+  windowed->UpdateColumn(drift.items.data(), drift.items.size());
   const double stale_phi = 0.04;  // 0.12 per phase / 3 phases = 0.04
   const auto whole_report = whole->HeavyHitters(stale_phi);
   const uint64_t stale = drift.planted_ids[0][0];

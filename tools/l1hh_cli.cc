@@ -497,7 +497,7 @@ int CmdHeavy(const Args& a, const std::vector<uint64_t>& items) {
                  a.algorithm.c_str(), status.ToString().c_str());
     return 2;
   }
-  summary->UpdateBatch(items);
+  summary->UpdateColumn(items.data(), items.size());
   const auto hitters = summary->HeavyHitters(a.phi);
   // Windowed: the report (and its percentages) cover the ring's suffix,
   // not the whole stream.  CoveredItems == ItemsProcessed for plain
@@ -573,7 +573,7 @@ int CmdSave(const Args& a, const std::vector<uint64_t>& items) {
                  a.algorithm.c_str(), status.ToString().c_str());
     return 2;
   }
-  summary->UpdateBatch(items);
+  summary->UpdateColumn(items.data(), items.size());
   const Status saved = SaveSummaryToFile(*summary, a.out);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());

@@ -20,14 +20,17 @@
 //
 // Wire protocol (every verb, which binary serves it, reply framing):
 // docs/ENGINE.md#the-socket-front-end-toolsl1hh_servecc.
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -245,6 +248,23 @@ void AuditReplicaLocked(ReplicaState& state) {
 
 // ---- Replication client (primary-facing) -------------------------------
 
+// Splits the next space-delimited field off the front of `*rest`. The sync
+// lines are parsed field by field with serve::ParseU64 and
+// ParseFiniteDouble, so a sign, trailing garbage or a missing field fails
+// the round instead of committing a misread number.
+std::string_view NextField(std::string_view* rest) {
+  const size_t end = std::min(rest->find(' '), rest->size());
+  const std::string_view field = rest->substr(0, end);
+  rest->remove_prefix(std::min(end + 1, rest->size()));
+  return field;
+}
+
+bool ParseFiniteDouble(std::string_view text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
 // Reads frames off `reader` until the closing "rsync <items>", applying
 // each to the pending shard set; commits clocks only when the round
 // completes, so a half-received sync never shows up in queries.
@@ -254,49 +274,50 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
   std::vector<uint8_t> bytes;
   while (reader.ReadLine(&line)) {
     if (line.rfind("frame ", 0) == 0) {
-      char kind[8] = {0};
-      unsigned long long shard = 0;
-      unsigned long long nbytes = 0;
-      if (std::sscanf(line.c_str(), "frame %7s %llu %llu", kind, &shard,
-                      &nbytes) != 3 ||
-          shard >= expected_shards || nbytes > serve::kMaxFrameBytes ||
-          (std::strcmp(kind, "full") != 0 &&
-           std::strcmp(kind, "delta") != 0)) {
+      std::string_view rest = std::string_view(line).substr(6);
+      const std::string_view kind = NextField(&rest);
+      const bool full = kind == "full";
+      uint64_t shard_id = 0;
+      uint64_t nbytes = 0;
+      if ((!full && kind != "delta") ||
+          !serve::ParseU64(NextField(&rest), &shard_id) ||
+          !serve::ParseU64(rest, &nbytes) || shard_id >= expected_shards ||
+          nbytes > serve::kMaxFrameBytes) {
         std::fprintf(stderr, "replica: malformed frame header '%s'\n",
                      line.c_str());
         return false;
       }
+      const size_t shard = static_cast<size_t>(shard_id);
       bytes.resize(static_cast<size_t>(nbytes));
       if (!reader.ReadExact(reinterpret_cast<char*>(bytes.data()),
                             bytes.size())) {
         return false;
       }
       obs::GetCounter("l1hh_replica_frames_total",
-                      std::strcmp(kind, "full") == 0 ? "kind=\"full\""
-                                                     : "kind=\"delta\"")
+                      full ? "kind=\"full\"" : "kind=\"delta\"")
           ->Inc();
       std::lock_guard<std::mutex> lock(state.mutex);
-      if (std::strcmp(kind, "full") == 0) {
+      if (full) {
         Status status;
         auto summary = LoadSummary(bytes, &status);
         if (summary == nullptr) {
-          std::fprintf(stderr, "replica: refused full frame for shard %llu: %s\n",
+          std::fprintf(stderr, "replica: refused full frame for shard %zu: %s\n",
                        shard, status.ToString().c_str());
           return false;
         }
-        state.shards[static_cast<size_t>(shard)] = std::move(summary);
+        state.shards[shard] = std::move(summary);
       } else {
-        Summary* target = state.shards[static_cast<size_t>(shard)].get();
+        Summary* target = state.shards[shard].get();
         if (target == nullptr) {
           std::fprintf(stderr,
-                       "replica: delta frame for shard %llu before any "
+                       "replica: delta frame for shard %zu before any "
                        "full frame\n",
                        shard);
           return false;
         }
         const Status applied = ApplySummaryDelta(bytes, target);
         if (!applied.ok()) {
-          std::fprintf(stderr, "replica: refused delta frame for shard %llu: %s\n",
+          std::fprintf(stderr, "replica: refused delta frame for shard %zu: %s\n",
                        shard, applied.ToString().c_str());
           return false;
         }
@@ -306,22 +327,31 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
     if (line.rfind("audit ", 0) == 0) {
       // Shadow truth from an auditing primary: header + nkeys pair lines
       // (docs/OBSERVABILITY.md#the-live-accuracy-auditor).
-      unsigned long long rate = 0, m = 0, nkeys = 0;
+      std::string_view rest = std::string_view(line).substr(6);
+      uint64_t rate = 0, m = 0, nkeys = 0;
       double eps = 0.0, phi = 0.0;
-      if (std::sscanf(line.c_str(), "audit %llu %lg %lg %llu %llu", &rate,
-                      &eps, &phi, &m, &nkeys) != 5 ||
-          nkeys > (1u << 20)) {
+      if (!serve::ParseU64(NextField(&rest), &rate) ||
+          !ParseFiniteDouble(NextField(&rest), &eps) ||
+          !ParseFiniteDouble(NextField(&rest), &phi) ||
+          !serve::ParseU64(NextField(&rest), &m) ||
+          !serve::ParseU64(rest, &nkeys) || nkeys > (1u << 20)) {
         std::fprintf(stderr, "replica: malformed audit header '%s'\n",
                      line.c_str());
         return false;
       }
       std::vector<std::pair<uint64_t, uint64_t>> shadow;
       shadow.reserve(static_cast<size_t>(nkeys));
-      for (unsigned long long i = 0; i < nkeys; ++i) {
-        unsigned long long key = 0, count = 0;
-        if (!reader.ReadLine(&line) ||
-            std::sscanf(line.c_str(), "%llu %llu", &key, &count) != 2) {
+      for (uint64_t i = 0; i < nkeys; ++i) {
+        uint64_t key = 0, count = 0;
+        if (!reader.ReadLine(&line)) {
           std::fprintf(stderr, "replica: torn audit shadow\n");
+          return false;
+        }
+        std::string_view pair = line;
+        if (!serve::ParseU64(NextField(&pair), &key) ||
+            !serve::ParseU64(pair, &count)) {
+          std::fprintf(stderr, "replica: malformed audit pair '%s'\n",
+                       line.c_str());
           return false;
         }
         shadow.emplace_back(key, count);
@@ -335,8 +365,14 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
       continue;
     }
     if (line.rfind("rsync ", 0) == 0) {
+      uint64_t items = 0;
+      if (!serve::ParseU64(std::string_view(line).substr(6), &items)) {
+        std::fprintf(stderr, "replica: malformed rsync '%s'\n",
+                     line.c_str());
+        return false;
+      }
       std::lock_guard<std::mutex> lock(state.mutex);
-      state.items = std::strtoull(line.c_str() + 6, nullptr, 10);
+      state.items = items;
       ++state.syncs;
       obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
       PublishLagLocked(state);
@@ -381,15 +417,20 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
     ::close(fd);
     return;
   }
-  unsigned long long shards = 0;
-  char algo[128] = {0};
-  if (std::sscanf(line.c_str(), "rconf shards=%llu algo=%127s", &shards,
-                  algo) != 2 ||
-      shards == 0 || shards > (1u << 16)) {
+  // "rconf shards=<K> algo=<name>"
+  std::string_view rest = std::string_view(line).substr(6);
+  const std::string_view shards_field = NextField(&rest);
+  const std::string_view algo_field = NextField(&rest);
+  uint64_t shards = 0;
+  if (shards_field.rfind("shards=", 0) != 0 ||
+      !serve::ParseU64(shards_field.substr(7), &shards) || shards == 0 ||
+      shards > (1u << 16) || algo_field.rfind("algo=", 0) != 0 ||
+      algo_field.size() == 5 || !rest.empty()) {
     std::fprintf(stderr, "replica: malformed rconf '%s'\n", line.c_str());
     ::close(fd);
     return;
   }
+  const std::string algo(algo_field.substr(5));
   {
     std::lock_guard<std::mutex> lock(state.mutex);
     state.shards.resize(static_cast<size_t>(shards));
@@ -404,7 +445,8 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
   obs::GetCounter("l1hh_replica_primary_transitions_total")->Inc();
   obs::Trace(obs::Severity::kInfo, "replica.primary_up",
              static_cast<int64_t>(shards));
-  std::printf("synced %s shards=%llu\n", algo, shards);
+  std::printf("synced %s shards=%llu\n", algo.c_str(),
+              static_cast<unsigned long long>(shards));
   std::fflush(stdout);
 
   while (!listener.stopping()) {
