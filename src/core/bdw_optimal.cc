@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/bit_util.h"
 
@@ -13,6 +14,16 @@ uint64_t ExpectedSamples(const BdwOptimal::Options& opt) {
   const double l =
       opt.constants.opt_sample_factor / (opt.epsilon * opt.epsilon);
   return std::max<uint64_t>(64, static_cast<uint64_t>(std::ceil(l)));
+}
+
+// Runs one sample's n coin trials through `coin` and calls f(j) for each
+// trial j that lands, in increasing order.
+template <typename F>
+void ForEachLanded(GeometricSkipSampler& coin, size_t n, Rng& rng, F&& f) {
+  for (size_t j = coin.NextSuccessWithin(n, rng); j < n;
+       j += 1 + coin.NextSuccessWithin(n - j - 1, rng)) {
+    f(j);
+  }
 }
 
 }  // namespace
@@ -51,6 +62,10 @@ BdwOptimal::BdwOptimal(const Options& opt, uint64_t seed)
   max_epoch_ = std::max(
       1, static_cast<int>(std::ceil(2.0 * std::log2(v_max / epoch_scale_))));
 
+  t2_coin_ = GeometricSkipSampler::FromExponent(eps_exp_, rng_);
+  t3_coin_ = GeometricSkipSampler::FromExponent(T3Exponent(0), rng_);
+  next_epoch_sample_ = NextEpochSample();
+
   Rng hash_rng(Mix64(seed) ^ 0x5bd1e9955bd1e995ULL);
   hashes_.reserve(reps_);
   for (size_t j = 0; j < reps_; ++j) {
@@ -73,32 +88,52 @@ int BdwOptimal::EpochAtSample(uint64_t s) const {
   return std::min(t, max_epoch_);
 }
 
+uint64_t BdwOptimal::NextEpochSample() const {
+  constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+  if (current_epoch_ >= max_epoch_) return kNever;
+  // The schedule is monotone in s: bracket the first s past the current
+  // epoch by doubling, then bisect.
+  uint64_t lo = 0;
+  uint64_t hi = 1;
+  while (EpochAtSample(hi) <= current_epoch_) {
+    if (hi > kNever / 2) return kNever;
+    lo = hi;
+    hi *= 2;
+  }
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    (EpochAtSample(mid) > current_epoch_ ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+void BdwOptimal::EnterEpoch(int epoch) {
+  current_epoch_ = epoch;
+  t3_coin_ = GeometricSkipSampler::FromExponent(T3Exponent(epoch), rng_);
+  next_epoch_sample_ = NextEpochSample();
+}
+
 void BdwOptimal::FastForwardToEpoch(int epoch) {
   epoch_floor_ = std::min(std::max(epoch, epoch_floor_), max_epoch_);
-  if (current_epoch_ < epoch_floor_) current_epoch_ = epoch_floor_;
+  if (current_epoch_ < epoch_floor_) EnterEpoch(epoch_floor_);
 }
 
 void BdwOptimal::Insert(ItemId item) {
   ++position_;
   if (!sampler_.Offer(rng_)) return;
   ++sampled_;
-  if (current_epoch_ < max_epoch_) {
-    const int scheduled = EpochAtSample(sampled_);
-    if (scheduled > current_epoch_) current_epoch_ = scheduled;
-  }
+  if (sampled_ >= next_epoch_sample_) EnterEpoch(EpochAtSample(sampled_));
   t1_.Insert(item);
-  const int t = current_epoch_;
-  // Count with probability min(eps * 2^t, 1) = 2^{-(eps_exp - t)}.
-  const int k = std::max(eps_exp_ - t, 0);
-  for (size_t j = 0; j < reps_; ++j) {
-    const size_t i = static_cast<size_t>(hashes_[j](item));
-    if (rng_.AllZeroBits(eps_exp_)) {
-      t2_.Increment(T2Cell(i, j));
-    }
-    if (rng_.AllZeroBits(k)) {
-      t3_.Increment(T3Cell(i, j, t));
-    }
-  }
+  // Repetition j's T2 coin lands w.p. 2^-eps_exp and its T3 coin w.p.
+  // min(eps 2^t, 1); each skip jumps straight to the next landed coin, so
+  // only those repetitions are hashed.
+  ForEachLanded(t2_coin_, reps_, rng_, [&](size_t j) {
+    t2_.Increment(T2Cell(static_cast<size_t>(hashes_[j](item)), j));
+  });
+  ForEachLanded(t3_coin_, reps_, rng_, [&](size_t j) {
+    t3_.Increment(
+        T3Cell(static_cast<size_t>(hashes_[j](item)), j, current_epoch_));
+  });
 }
 
 bool BdwOptimal::Compatible(const BdwOptimal& a, const BdwOptimal& b) {
@@ -138,18 +173,19 @@ Status BdwOptimal::MergeFrom(const BdwOptimal& other) {
   // The combined sample position may put the schedule past the common
   // epoch; catch up so post-merge inserts count at the scheduled rate.
   const int scheduled = EpochAtSample(sampled_);
-  if (scheduled > current_epoch_) current_epoch_ = scheduled;
+  if (scheduled > current_epoch_) EnterEpoch(scheduled);
   return Status::Ok();
 }
 
 double BdwOptimal::EstimateRep(ItemId item, size_t rep) const {
   const size_t i = static_cast<size_t>(hashes_[rep](item));
   double estimate = 0;
-  for (int t = 0; t <= max_epoch_; ++t) {
+  // T3 is only written at the current epoch and epochs never decrease, so
+  // no cell above current_epoch_ is ever nonzero.
+  for (int t = 0; t <= current_epoch_; ++t) {
     const uint64_t c = t3_.Get(T3Cell(i, rep, t));
     if (c == 0) continue;
-    const int k = std::max(eps_exp_ - t, 0);
-    estimate += static_cast<double>(c) * std::ldexp(1.0, k);  // c * 2^k
+    estimate += static_cast<double>(c) * std::ldexp(1.0, T3Exponent(t));
   }
   return estimate;
 }
@@ -228,7 +264,7 @@ size_t BdwOptimal::SpaceBits() const {
   for (size_t i = 0; i < rows_; ++i) {
     for (size_t j = 0; j < reps_; ++j) {
       int top = -1;
-      for (int t = max_epoch_; t >= 0; --t) {
+      for (int t = current_epoch_; t >= 0; --t) {
         if (t3_.Get(T3Cell(i, j, t)) != 0) {
           top = t;
           break;
@@ -242,8 +278,28 @@ size_t BdwOptimal::SpaceBits() const {
   }
   for (const auto& h : hashes_) bits += static_cast<size_t>(h.SeedBits());
   bits += static_cast<size_t>(sampler_.SpaceBits());
+  bits += static_cast<size_t>(t2_coin_.SpaceBits());
+  bits += static_cast<size_t>(t3_coin_.SpaceBits());
   bits += BitWidth(sampled_);
   return bits;
+}
+
+Status BdwOptimal::ValidateDecodedState() const {
+  for (size_t i = 0; i < rows_; ++i) {
+    for (size_t j = 0; j < reps_; ++j) {
+      const size_t block_end = T3Cell(i, j, max_epoch_) + 1;
+      if (!t3_.AllZero(T3Cell(i, j, current_epoch_) + 1, block_end)) {
+        return Status::Corruption(
+            "'bdw_optimal' T3 count above the recorded epoch");
+      }
+    }
+  }
+  if (t2_coin_.exponent() != eps_exp_ ||
+      t3_coin_.exponent() != T3Exponent(current_epoch_)) {
+    return Status::Corruption(
+        "'bdw_optimal' coin skip probabilities disagree with the epoch");
+  }
+  return Status::Ok();
 }
 
 void BdwOptimal::Serialize(BitWriter& out) const {
@@ -270,6 +326,8 @@ void BdwOptimal::SerializeImpl(BitWriter& out, bool sparse_grids) const {
   out.WriteCounter(sampled_);
   out.WriteCounter(static_cast<uint64_t>(epoch_floor_));
   sampler_.Serialize(out);
+  t2_coin_.Serialize(out);
+  t3_coin_.Serialize(out);
   for (const auto& h : hashes_) h.Serialize(out);
   t1_.Serialize(out);
   if (sparse_grids) {
@@ -328,7 +386,10 @@ BdwOptimal BdwOptimal::DeserializeImpl(BitReader& in, uint64_t seed,
       in.ReadCounter(), static_cast<uint64_t>(out.max_epoch_)));
   out.current_epoch_ =
       std::max(out.epoch_floor_, out.EpochAtSample(out.sampled_));
+  out.next_epoch_sample_ = out.NextEpochSample();
   out.sampler_.Deserialize(in);
+  out.t2_coin_.Deserialize(in);
+  out.t3_coin_.Deserialize(in);
   for (auto& h : out.hashes_) h = UniversalHash::Deserialize(in);
   out.t1_ = MisraGries::Deserialize(in);
   if (sparse_grids) {

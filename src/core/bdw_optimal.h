@@ -41,6 +41,7 @@
 #ifndef L1HH_CORE_BDW_OPTIMAL_H_
 #define L1HH_CORE_BDW_OPTIMAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -72,9 +73,13 @@ class BdwOptimal {
 
   BdwOptimal(const Options& options, uint64_t seed);
 
-  /// Processes one stream item.  O(R) on the (rare) sampled items, O(1)
-  /// worst-case after the paper's spreading argument; O(1) always for
-  /// non-sampled items.
+  /// Processes one stream item.  Non-sampled items cost one skip
+  /// decrement.  A sampled item's 2R coins (one T2 and one T3 coin per
+  /// repetition) are two geometric skips over the flattened
+  /// (sample, repetition) trial sequence, so only the repetitions whose
+  /// coin lands are hashed and incremented: expected
+  /// O(1 + R (2^-eps_exp + 2^-(eps_exp - t))) work per sample, which is R
+  /// once the epoch t reaches eps_exp and every T3 coin lands.
   void Insert(ItemId item);
 
   std::vector<HeavyHitter> Report() const;
@@ -128,6 +133,9 @@ class BdwOptimal {
   int current_epoch() const { return current_epoch_; }
 
   uint64_t samples_taken() const { return sampled_; }
+  /// Sums of all T2 and all T3 counters: the number of coins that landed.
+  uint64_t t2_total() const { return t2_.Total(); }
+  uint64_t t3_total() const { return t3_.Total(); }
   uint64_t items_processed() const { return position_; }
   size_t repetitions() const { return hashes_.size(); }
   size_t rows() const { return rows_; }
@@ -151,6 +159,12 @@ class BdwOptimal {
   void SerializeSparse(BitWriter& out) const;
   static BdwOptimal DeserializeSparse(BitReader& in, uint64_t seed);
 
+  /// Checks what a decoded sketch must satisfy before it is trusted: no
+  /// T3 count above the current epoch (T3 is only ever written at the
+  /// current epoch, and the epoch never decreases) and coin skips at the
+  /// probabilities the epoch implies.  Corruption otherwise.
+  Status ValidateDecodedState() const;
+
   /// Snapshot support: persists the live PRNG state so a restored sketch
   /// continues the exact random sequence of the saved one (same contract
   /// as BdwSimple::SerializeRngState).
@@ -172,9 +186,28 @@ class BdwOptimal {
   /// hashed id.
   double EstimateRep(ItemId item, size_t rep) const;
 
+  /// T3 counting probability at `epoch` is min(eps 2^epoch, 1) =
+  /// 2^-T3Exponent(epoch).
+  int T3Exponent(int epoch) const { return std::max(eps_exp_ - epoch, 0); }
+
+  /// Moves new arrivals to `epoch` (> current_epoch_): redraws the T3
+  /// coin skip at the new probability — sound because the skip is
+  /// memoryless, pending failures carry no information — and recomputes
+  /// next_epoch_sample_.
+  void EnterEpoch(int epoch);
+
+  /// Smallest sample count at which the schedule exceeds current_epoch_
+  /// (UINT64_MAX once the epoch is capped), so Insert compares a counter
+  /// instead of evaluating EpochAtSample per sample.
+  uint64_t NextEpochSample() const;
+
   Options opt_;
   Rng rng_;
   GeometricSkipSampler sampler_;
+  // Coin skips over the (sample, repetition) trial sequence: T2 at
+  // 2^-eps_exp, T3 at 2^-T3Exponent(current_epoch_).
+  GeometricSkipSampler t2_coin_;
+  GeometricSkipSampler t3_coin_;
   MisraGries t1_;
   std::vector<UniversalHash> hashes_;
   size_t rows_ = 0;
@@ -192,6 +225,7 @@ class BdwOptimal {
   // schedule monotone and merges associative).
   int current_epoch_ = 0;
   int epoch_floor_ = 0;
+  uint64_t next_epoch_sample_ = 0;
 };
 
 }  // namespace l1hh

@@ -136,8 +136,8 @@ class BdwOptimalSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) impl_.Insert(item);
   }
 
-  // Algorithm 2's Insert consumes PRNG draws (sampling + accelerated-
-  // counter epochs), so the column loop stays strictly sequential; the
+  // Algorithm 2's Insert advances PRNG-driven skips (the sampler and the
+  // T2/T3 coin skips), so the column loop stays strictly sequential; the
   // saving over the default path is the per-item virtual call.
   void UpdateColumn(const uint64_t* items, size_t n) override {
     for (size_t i = 0; i < n; ++i) impl_.Insert(items[i]);
@@ -195,6 +195,7 @@ class BdwOptimalSummary : public Summary {
       return Status::Corruption(
           "'bdw_optimal' snapshot payload options disagree with the header");
     }
+    if (Status s = loaded.ValidateDecodedState(); !s.ok()) return s;
     impl_ = std::move(loaded);
     return Status::Ok();
   }

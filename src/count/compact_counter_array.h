@@ -51,6 +51,17 @@ class CompactCounterArray {
   /// Sum of all counters.
   uint64_t Total() const { return total_; }
 
+  /// True iff every counter in [begin, end) is zero (a nibble is zero iff
+  /// its counter is).  Branch-free over whole bytes, so checking a range
+  /// that should be empty runs at memory speed.
+  bool AllZero(size_t begin, size_t end) const {
+    uint8_t any = 0;
+    if (begin < end && (begin & 1) != 0) any |= Nibble(begin++);
+    if (begin < end && (end & 1) != 0) any |= Nibble(--end);
+    for (size_t b = begin / 2; b < end / 2; ++b) any |= packed_[b];
+    return any == 0;
+  }
+
   /// Information-theoretic space: gamma-code cost of every nonzero counter
   /// plus one bit per (empty) slot; this matches the paper's
   /// "each entry can store an integer in [0, B]" tables when contents are

@@ -23,8 +23,8 @@
 // Snapshots: SaveGroups/LoadGroups move the complete state (totals,
 // eviction counters, every live group's payload, MRU->LRU order) as a raw
 // bit payload; the self-describing "L1HHGRUP" container around them lives
-// in src/io/snapshot.h (SaveGrouped/LoadGrouped), version 3 of the
-// snapshot family, so grouped state rides the existing durable-write and
+// in src/io/snapshot.h (SaveGrouped/LoadGrouped, kGroupedFormatVersion),
+// so grouped state rides the existing durable-write and
 // replication stack.  This header deliberately includes no io headers.
 //
 // Thread-safety: same contract as Summary — a GroupedSummary is a

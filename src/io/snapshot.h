@@ -44,7 +44,11 @@ namespace l1hh {
 /// v2: SummaryOptions gained window_size/window_buckets (two u64s after
 /// the seed) for the `windowed:<algo>` container, and bdw_optimal's
 /// T2/T3 payloads switched to the sparse gap-coded cell encoding.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// v3: bdw_optimal's payload carries its T2 and T3 coin skip states
+/// (exponent + remaining skip, after the sampler's) and its random
+/// sequence changed: the per-repetition coins are geometric skips over
+/// the (sample, repetition) trial sequence instead of one draw per coin.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Header fields of a snapshot, readable without reconstructing the
 /// summary (used by ShardedEngine::Restore and `l1hh_cli load`).
@@ -101,7 +105,9 @@ std::unique_ptr<Summary> LoadSummaryFromFile(const std::string& path,
 // name/options, rotations == base_rotations, items == base_items);
 // anything else is a Corruption, never a silently wrong window.
 
-inline constexpr uint32_t kDeltaFormatVersion = 1;
+/// v2: bucket payloads are raw Summary::SaveTo payloads, so the snapshot
+/// v3 change to bdw_optimal's payload changes this format too.
+inline constexpr uint32_t kDeltaFormatVersion = 2;
 
 /// Serializes the tail of `summary` (a SlidingWindowSummary) that changed
 /// since a base checkpoint taken at (base_rotations, base_items).
@@ -141,7 +147,9 @@ Status ApplySummaryDeltaFromFile(const std::string& path, Summary* target);
 // (tests/grouped_summary_test.cc fuzzes this).
 
 /// Version 3 of the container family: the first grouped format.
-inline constexpr uint32_t kGroupedFormatVersion = 3;
+/// v4: groups embed raw Summary::SaveTo payloads, so the snapshot v3
+/// change to bdw_optimal's payload changes this format too.
+inline constexpr uint32_t kGroupedFormatVersion = 4;
 
 class GroupedSummary;
 

@@ -5,9 +5,15 @@
 // update time (Section 3.1): non-sampled items cost one decrement, and with
 // p <= O(eps^2) the expensive per-sample work provably has O(1/eps) slack
 // between samples to be spread over.
+//
+// The same skip serves any Bernoulli(2^-k) trial sequence, not only one
+// trial per stream item: NextSuccessWithin consumes a run of n trials at
+// once, which is how BdwOptimal flips its R per-repetition coins per
+// sample while paying only for the coins that land.
 #ifndef L1HH_SAMPLING_GEOMETRIC_SKIP_H_
 #define L1HH_SAMPLING_GEOMETRIC_SKIP_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "util/bit_stream.h"
@@ -24,7 +30,7 @@ class GeometricSkipSampler {
   /// by the caller or via FromProbability).
   static GeometricSkipSampler FromExponent(int exponent, Rng& rng) {
     GeometricSkipSampler s;
-    s.exponent_ = exponent;
+    s.SetExponent(exponent);
     s.ScheduleNext(rng);
     return s;
   }
@@ -36,19 +42,26 @@ class GeometricSkipSampler {
   /// Called once per stream item; returns true iff this item is sampled.
   /// O(1) worst case: one compare + decrement, plus one Geometric draw on
   /// the (rare) sampled items.
-  bool Offer(Rng& rng) {
-    if (skip_ > 0) {
-      --skip_;
-      return false;
+  bool Offer(Rng& rng) { return NextSuccessWithin(1, rng) == 0; }
+
+  /// Runs the next n trials up to and including the first success among
+  /// them and returns that success's offset in [0, n); returns n, having
+  /// consumed all n trials, when none succeeds.  O(1): one compare and a
+  /// subtraction, plus one Geometric draw per success.
+  uint64_t NextSuccessWithin(uint64_t n, Rng& rng) {
+    if (skip_ >= n) {
+      skip_ -= n;
+      return n;
     }
+    const uint64_t offset = skip_;
     ScheduleNext(rng);
-    return true;
+    return offset;
   }
 
+  /// 2^-exponent; 1 for exponent <= 0 (which is also never negated, so
+  /// any decoded exponent is safe here).
   double probability() const {
-    double p = 1.0;
-    for (int i = 0; i < exponent_; ++i) p *= 0.5;
-    return p;
+    return exponent_ <= 0 ? 1.0 : std::ldexp(1.0, -exponent_);
   }
   int exponent() const { return exponent_; }
 
@@ -63,14 +76,24 @@ class GeometricSkipSampler {
     out.WriteCounter(skip_);
   }
   void Deserialize(BitReader& in) {
-    exponent_ = static_cast<int>(in.ReadCounter());
+    SetExponent(static_cast<int>(in.ReadCounter()));
     skip_ = in.ReadCounter();
   }
 
  private:
-  void ScheduleNext(Rng& rng) { skip_ = rng.Geometric(probability()); }
+  void SetExponent(int exponent) {
+    exponent_ = exponent;
+    log_q_ = std::log1p(-probability());
+  }
+
+  // Same draws as rng.Geometric(probability()), without recomputing the
+  // logarithm per success; p = 1 draws nothing.
+  void ScheduleNext(Rng& rng) {
+    skip_ = exponent_ <= 0 ? 0 : rng.GeometricWithLogQ(log_q_);
+  }
 
   int exponent_ = 0;
+  double log_q_ = 0;  // log1p(-probability()), derived from exponent_
   uint64_t skip_ = 0;
 };
 

@@ -80,8 +80,14 @@ class Rng {
   /// Inverse-transform sampling; O(1) time.
   uint64_t Geometric(double p) {
     if (p >= 1.0) return 0;
+    return GeometricWithLogQ(std::log1p(-p));
+  }
+
+  /// Geometric(p) for p in (0, 1) given log_q = log1p(-p), so a caller
+  /// drawing many gaps at one fixed p computes the logarithm once.
+  uint64_t GeometricWithLogQ(double log_q) {
     const double u = 1.0 - UniformDouble();  // u in (0, 1]
-    const double g = std::floor(std::log(u) / std::log1p(-p));
+    const double g = std::floor(std::log(u) / log_q);
     if (g < 0) return 0;
     if (g > 9.0e18) return static_cast<uint64_t>(9.0e18);
     return static_cast<uint64_t>(g);

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <vector>
 
 #include "core/bdw_simple.h"
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/misra_gries.h"
+#include "util/bit_util.h"
+#include "util/random.h"
 
 namespace l1hh {
 namespace {
@@ -213,6 +217,78 @@ TEST(BdwOptimalTest, CurrentEpochFollowsScheduleDuringIngest) {
   }
   EXPECT_EQ(sketch.samples_taken(), m);
   EXPECT_EQ(sketch.current_epoch(), sketch.EpochAtSample(m));
+}
+
+// The coin skips at the bench operating point (eps = 0.005, so
+// eps_exp = 8; l > m, so every item is sampled), with the epoch pinned by
+// FastForwardToEpoch so p_T3 = 2^-(eps_exp - t) covers 2^-8, 2^-3 and 1.
+// n samples stay below the schedule's first step, so the pin holds.
+constexpr double kSkipEps = 0.005, kSkipPhi = 0.02;
+constexpr uint64_t kSkipSamples = 50000;
+
+std::vector<int> PinnedEpochs() {
+  const int eps_exp = ProbabilityToPow2Exponent(kSkipEps);
+  return {0, eps_exp - 3, eps_exp};
+}
+
+BdwOptimal PinnedSketch(int epoch, uint64_t seed) {
+  BdwOptimal sketch(MakeOptions(kSkipEps, kSkipPhi, uint64_t{1} << 20), seed);
+  sketch.FastForwardToEpoch(epoch);
+  return sketch;
+}
+
+uint64_t RngWordsDrawn(const BdwOptimal& sketch) {
+  BitWriter w;
+  sketch.SerializeRngState(w);
+  BitReader r(w);
+  Rng rng(0);
+  rng.Deserialize(r);
+  return rng.words_drawn();
+}
+
+// Over n samples, T2 gathers Binomial(R n, 2^-eps_exp) counts and T3
+// Binomial(R n, p_T3): the skips land each (sample, repetition) coin at
+// exactly the per-coin probability the old coin loop flipped.
+TEST(BdwOptimalTest, CoinSkipsLandAtTheirProbabilities) {
+  const int eps_exp = ProbabilityToPow2Exponent(kSkipEps);
+  for (const int epoch : PinnedEpochs()) {
+    BdwOptimal sketch = PinnedSketch(epoch, 31 + static_cast<uint64_t>(epoch));
+    ASSERT_EQ(sketch.current_epoch(), epoch);
+    for (uint64_t i = 0; i < kSkipSamples; ++i) sketch.Insert(i % 1000);
+    ASSERT_EQ(sketch.samples_taken(), kSkipSamples);
+    ASSERT_EQ(sketch.current_epoch(), epoch);
+    const double trials =
+        static_cast<double>(sketch.repetitions() * kSkipSamples);
+    auto expect_binomial = [&](uint64_t landed, int exponent) {
+      const double p = std::ldexp(1.0, -exponent);
+      EXPECT_NEAR(static_cast<double>(landed), trials * p,
+                  6 * std::sqrt(trials * p * (1 - p)))
+          << "epoch " << epoch << ", p = 2^-" << exponent;
+    };
+    expect_binomial(sketch.t2_total(), eps_exp);
+    expect_binomial(sketch.t3_total(), std::max(eps_exp - epoch, 0));
+  }
+}
+
+// The hot path draws randomness only for coins that land (one word per
+// landed coin below probability 1), never 2R words per sample.
+TEST(BdwOptimalTest, HotPathDrawsOnlyForLandedCoins) {
+  const int eps_exp = ProbabilityToPow2Exponent(kSkipEps);
+  for (const int epoch : PinnedEpochs()) {
+    BdwOptimal sketch = PinnedSketch(epoch, 41 + static_cast<uint64_t>(epoch));
+    const uint64_t before = RngWordsDrawn(sketch);
+    for (uint64_t i = 0; i < kSkipSamples; ++i) sketch.Insert(i % 1000);
+    ASSERT_EQ(sketch.samples_taken(), kSkipSamples);
+    const double per_item =
+        static_cast<double>(RngWordsDrawn(sketch) - before) /
+        static_cast<double>(kSkipSamples);
+    const double p_t2 = std::ldexp(1.0, -eps_exp);
+    const double p_t3 = std::ldexp(1.0, -std::max(eps_exp - epoch, 0));
+    EXPECT_LE(per_item,
+              1 + 2 * static_cast<double>(sketch.repetitions()) *
+                      (p_t2 + p_t3))
+        << "epoch " << epoch;
+  }
 }
 
 class BdwOptimalGrid

@@ -63,6 +63,23 @@ TEST(CompactCounterArrayTest, MatchesReferenceOnRandomOps) {
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(a.Get(i), ref[i]);
 }
 
+// AllZero over every [begin, end) of a small array, against Get: odd and
+// even bounds, empty ranges, and a spilled counter.
+TEST(CompactCounterArrayTest, AllZeroMatchesCellwiseCheck) {
+  const size_t n = 13;
+  CompactCounterArray a(n);
+  a.Add(4, 1);
+  a.Add(7, 40);  // spills past the nibble
+  a.Add(12, 2);  // last cell of an odd-length array
+  for (size_t begin = 0; begin <= n; ++begin) {
+    for (size_t end = begin; end <= n; ++end) {
+      bool expected = true;
+      for (size_t i = begin; i < end; ++i) expected &= a.Get(i) == 0;
+      EXPECT_EQ(a.AllZero(begin, end), expected) << begin << ".." << end;
+    }
+  }
+}
+
 TEST(CompactCounterArrayTest, SpaceBitsGrowsWithContent) {
   CompactCounterArray a(64);
   const size_t empty_bits = a.SpaceBits();

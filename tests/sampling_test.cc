@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <vector>
@@ -114,6 +115,48 @@ TEST(GeometricSkipTest, SerializeRoundTripPreservesSkip) {
   Rng rng_a(7), rng_b(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(s.Offer(rng_a), s2.Offer(rng_b));
+  }
+}
+
+// NextSuccessWithin(n) is n Offer() calls folded into one: the same
+// success positions and the same random draws, in any chunking.
+TEST(GeometricSkipTest, NextSuccessWithinMatchesOfferSequence) {
+  for (int k : {0, 2, 5}) {
+    Rng rng_a(8), rng_b(8);
+    auto a = GeometricSkipSampler::FromExponent(k, rng_a);
+    auto b = GeometricSkipSampler::FromExponent(k, rng_b);
+    std::vector<uint64_t> by_offer, by_chunk;
+    const uint64_t total = 20000;
+    for (uint64_t i = 0; i < total; ++i) {
+      if (a.Offer(rng_a)) by_offer.push_back(i);
+    }
+    uint64_t pos = 0;
+    for (uint64_t chunk = 1; pos < total; chunk = chunk % 37 + 1) {
+      const uint64_t n = std::min(chunk, total - pos);
+      uint64_t j = b.NextSuccessWithin(n, rng_b);
+      while (j < n) {
+        by_chunk.push_back(pos + j);
+        j += 1 + b.NextSuccessWithin(n - j - 1, rng_b);
+      }
+      pos += n;
+    }
+    EXPECT_EQ(by_offer, by_chunk) << "k=" << k;
+    EXPECT_EQ(rng_a.words_drawn(), rng_b.words_drawn()) << "k=" << k;
+  }
+}
+
+// The sampler caches log1p(-p); its gaps must still be exactly
+// Rng::Geometric(p)'s draws, so every sampler keeps its random sequence.
+TEST(GeometricSkipTest, GapsAreExactlyRngGeometricDraws) {
+  for (int k : {1, 5, 20}) {
+    Rng sampler_rng(9), reference_rng(9);
+    auto s = GeometricSkipSampler::FromExponent(k, sampler_rng);
+    for (int i = 0; i < 200; ++i) {
+      const uint64_t gap = reference_rng.Geometric(std::ldexp(1.0, -k));
+      EXPECT_EQ(s.NextSuccessWithin(gap, sampler_rng), gap) << "k=" << k;
+      EXPECT_EQ(s.NextSuccessWithin(1, sampler_rng), 0u) << "k=" << k;
+    }
+    EXPECT_EQ(sampler_rng.words_drawn(), reference_rng.words_drawn() + 1);
   }
 }
 

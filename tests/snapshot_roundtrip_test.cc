@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/bdw_optimal.h"
 #include "engine/sharded_engine.h"
 #include "io/snapshot.h"
 #include "stream/stream_generator.h"
@@ -353,6 +354,126 @@ TEST_P(SnapshotMergeTest, MergeOfLoadedSnapshotsEqualsInMemoryMerge) {
 INSTANTIATE_TEST_SUITE_P(Mergeable, SnapshotMergeTest,
                          testing::ValuesIn(MergeableSummaryNames(Options())),
                          [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// bdw_optimal's coin skips: the T2/T3 skip states travel with the payload,
+// so save -> restore -> continue stays bit-identical across the state
+// changes that redraw a skip (an epoch step, a merge's fast-forward).
+
+BdwOptimal::Options BdwOptionsOf(const SummaryOptions& o) {
+  BdwOptimal::Options opt;
+  opt.epsilon = o.epsilon;
+  opt.phi = o.phi;
+  opt.delta = o.delta;
+  opt.universe_size = o.universe_size;
+  opt.stream_length = o.stream_length;
+  return opt;
+}
+
+// Saves `original`, restores it, feeds both the same tail, and requires
+// the two to re-save to the same bytes.
+void ExpectContinueIsBitExact(Summary& original, const uint64_t* tail,
+                              size_t n, const std::vector<uint64_t>& probes) {
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(SaveSummary(original, &bytes).ok());
+  Status status;
+  auto restored = LoadSummary(bytes, &status);
+  ASSERT_NE(restored, nullptr) << status.ToString();
+  original.UpdateColumn(tail, n);
+  restored->UpdateColumn(tail, n);
+  std::vector<uint8_t> after_original, after_restored;
+  ASSERT_TRUE(SaveSummary(original, &after_original).ok());
+  ASSERT_TRUE(SaveSummary(*restored, &after_restored).ok());
+  EXPECT_EQ(after_original, after_restored);
+  ExpectSameAnswers(original, *restored, probes);
+}
+
+TEST(BdwOptimalSnapshotTest, SaveJustBeforeEpochStepContinuesBitExact) {
+  const auto stream = TestStream();
+  // Options() keeps every item in the sample (l > m), so the sample count
+  // after k items is k; find the first epoch step of the schedule.
+  const BdwOptimal probe(BdwOptionsOf(Options()), Options().seed);
+  uint64_t step = 1;
+  while (probe.EpochAtSample(step) == probe.EpochAtSample(step - 1)) ++step;
+  ASSERT_LT(step, stream.size());
+
+  auto original = MakeSummary("bdw_optimal", Options());
+  ASSERT_NE(original, nullptr);
+  original->UpdateColumn(stream.data(), step - 1);
+  ExpectContinueIsBitExact(*original, stream.data() + step - 1,
+                           stream.size() - (step - 1), ProbeIds(stream));
+}
+
+TEST(BdwOptimalSnapshotTest, SaveAfterMergeFastForwardContinuesBitExact) {
+  const auto stream = TestStream();
+  // `behind` merges a piece long enough to sit at a later epoch, so the
+  // merge fast-forwards it and redraws its T3 skip before the save.
+  const size_t short_piece = 2000, long_piece = 24000;
+  const BdwOptimal probe(BdwOptionsOf(Options()), Options().seed);
+  ASSERT_LT(probe.EpochAtSample(short_piece), probe.EpochAtSample(long_piece));
+
+  auto behind = MakeSummary("bdw_optimal", Options());
+  auto ahead = MakeSummary("bdw_optimal", Options());
+  ASSERT_NE(behind, nullptr);
+  ASSERT_NE(ahead, nullptr);
+  behind->UpdateColumn(stream.data(), short_piece);
+  ahead->UpdateColumn(stream.data() + short_piece, long_piece);
+  ASSERT_TRUE(behind->Merge(*ahead).ok());
+  const size_t used = short_piece + long_piece;
+  ExpectContinueIsBitExact(*behind, stream.data() + used,
+                           stream.size() - used, ProbeIds(stream));
+}
+
+// T3 is only ever written at the current epoch, so a payload with a count
+// above its recorded epoch is forged or corrupt: LoadFrom must refuse it
+// rather than let Estimate walk past the epochs that exist.
+TEST(BdwOptimalSnapshotTest, T3CountAboveRecordedEpochIsCorruption) {
+  const auto stream = TestStream();
+  BdwOptimal sketch(BdwOptionsOf(Options()), Options().seed);
+  sketch.FastForwardToEpoch(3);
+  for (size_t i = 0; i < 1000; ++i) sketch.Insert(stream[i]);
+  ASSERT_EQ(sketch.current_epoch(), 3);
+  ASSERT_EQ(sketch.EpochAtSample(sketch.samples_taken()), 0);
+  ASSERT_GT(sketch.t3_total(), 0u);
+  BitWriter payload;  // exactly what the adapter's SaveTo writes
+  sketch.SerializeSparse(payload);
+  sketch.SerializeRngState(payload);
+
+  // Re-encode the payload with the epoch floor rewritten 3 -> 0: the
+  // recorded epoch drops to the schedule's 0 while T3 still holds
+  // epoch-3 counts.  Layout: the fixed options block (8 doubles, 2 u64s,
+  // a 16-bit field), then position, samples and floor as counters.
+  constexpr size_t kOptionsBits = 10 * 64 + 16;
+  BitReader in(payload);
+  BitWriter forged;
+  auto copy_bits = [&](size_t bits) {
+    for (; bits > 0; bits -= std::min<size_t>(bits, 64)) {
+      const int chunk = static_cast<int>(std::min<size_t>(bits, 64));
+      forged.WriteBits(in.ReadBits(chunk), chunk);
+    }
+  };
+  copy_bits(kOptionsBits);
+  forged.WriteCounter(in.ReadCounter());  // position
+  forged.WriteCounter(in.ReadCounter());  // samples
+  ASSERT_EQ(in.ReadCounter(), 3u);        // floor
+  forged.WriteCounter(0);
+  copy_bits(in.remaining_bits());
+  ASSERT_FALSE(in.overflow());
+
+  auto genuine = MakeSummary("bdw_optimal", Options());
+  ASSERT_NE(genuine, nullptr);
+  BitReader genuine_in(payload);
+  EXPECT_TRUE(genuine->LoadFrom(genuine_in).ok());
+
+  auto target = MakeSummary("bdw_optimal", Options());
+  ASSERT_NE(target, nullptr);
+  BitReader forged_in(forged);
+  const Status status = target->LoadFrom(forged_in);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("above the recorded epoch"),
+            std::string::npos)
+      << status.ToString();
+}
 
 // ---------------------------------------------------------------------------
 // Engine checkpoint / restore.
