@@ -360,73 +360,73 @@ ShardedEngine::Shard::Shard(size_t producer_slots, size_t ring_capacity) {
 
 std::unique_ptr<ShardedEngine> ShardedEngine::Create(
     const ShardedEngineOptions& options, Status* status) {
+  std::vector<std::unique_ptr<Summary>> summaries;
+  for (size_t s = 0; s < options.num_shards; ++s) {
+    Status make_status;
+    summaries.push_back(
+        MakeSummary(options.algorithm, options.summary, &make_status));
+    if (summaries.back() == nullptr) {
+      // The factory's own reason: "unknown summary algorithm" for a bad
+      // name, the specific windowed refusal (non-mergeable inner, hostile
+      // geometry) for a windowed: spelling.
+      if (status != nullptr) *status = std::move(make_status);
+      return nullptr;
+    }
+  }
+  // Fresh shards can only fail the set's size rule (K >= 1) or its Merge
+  // rule, keyed off the adapter's own SupportsMerge: lossy_counting and
+  // sticky_sampling are refused at K > 1.
+  return Start(options, std::move(summaries), status);
+}
+
+std::unique_ptr<ShardedEngine> ShardedEngine::Start(
+    ShardedEngineOptions options,
+    std::vector<std::unique_ptr<Summary>> summaries, Status* status) {
   auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
     if (status != nullptr) *status = std::move(s);
     return nullptr;
   };
-  if (options.num_shards == 0) {
-    return fail(Status::InvalidArgument("num_shards must be >= 1"));
-  }
-  if (options.max_producers == 0) {
-    return fail(Status::InvalidArgument(
-        "max_producers must be >= 1 (slot 0 is the engine's own)"));
-  }
-  if (options.max_producers > kMaxProducerSlots) {
+  if (options.max_producers == 0 ||
+      options.max_producers > kMaxProducerSlots) {
     return fail(Status::InvalidArgument(
         "max_producers " + std::to_string(options.max_producers) +
-        " exceeds the sanity cap " + std::to_string(kMaxProducerSlots)));
+        " is out of range [1, " + std::to_string(kMaxProducerSlots) +
+        "] (slot 0 is the engine's own)"));
   }
-  Status make_status;
-  auto probe = MakeSummary(options.algorithm, options.summary, &make_status);
-  if (probe == nullptr) {
-    // The factory's own reason: "unknown summary algorithm" for a bad
-    // name, the specific windowed refusal (non-mergeable inner, hostile
-    // geometry) for a windowed: spelling.
-    return fail(std::move(make_status));
-  }
-  // The refusal rule is keyed off the adapter's own SupportsMerge, so a
-  // structure becomes shardable the moment its Merge lands (bdw_optimal
-  // did via the shared epoch schedule; lossy_counting and sticky_sampling
-  // remain position-dependent and refused at K > 1).
-  if (options.num_shards > 1 && !probe->SupportsMerge()) {
-    return fail(Status::FailedPrecondition(
-        "'" + options.algorithm +
-        "' does not support Merge; the engine refuses to shard it "
-        "(num_shards must be 1)"));
-  }
+  uint64_t rotations = 0;
+  Status checked = CheckShardSet(summaries, options.algorithm, &rotations);
+  if (!checked.ok()) return fail(std::move(checked));
+  options.num_shards = summaries.size();
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options));
-  engine->shards_[0]->summary = std::move(probe);
-  for (size_t s = 1; s < engine->shards_.size(); ++s) {
-    engine->shards_[s]->summary =
-        MakeSummary(options.algorithm, options.summary);
+  engine->summaries_ = std::move(summaries);
+  // Pre-thread-start stores: the worker pool has not launched yet. A
+  // restored prefix is credited to slot 0 — the clock only needs the
+  // sums, not the per-slot attribution.
+  uint64_t total = 0;
+  for (size_t s = 0; s < engine->shards_.size(); ++s) {
+    const uint64_t processed = engine->summaries_[s]->ItemsProcessed();
+    engine->slots_[0]->enqueued[s].value.store(processed,
+                                               std::memory_order_relaxed);
+    engine->shards_[s]->applied.store(processed, std::memory_order_relaxed);
+    total += processed;
   }
-  engine->BindWindows(/*restored_rotations=*/0);
+  if (dynamic_cast<SlidingWindowSummary*>(engine->summaries_[0].get()) !=
+      nullptr) {
+    for (auto& summary : engine->summaries_) {
+      auto* window = static_cast<SlidingWindowSummary*>(summary.get());
+      // Shard-local update counts must never rotate a ring: all K rings
+      // rotate together at global bucket boundaries, driven by the
+      // engine.
+      window->set_external_rotation(true);
+      engine->windows_.push_back(window);
+    }
+    engine->rotation_stride_ = engine->windows_[0]->bucket_width();
+    engine->global_pos_.store(total, std::memory_order_relaxed);
+    engine->rotations_done_.store(rotations, std::memory_order_relaxed);
+  }
   engine->StartWorkers();
   if (status != nullptr) *status = Status::Ok();
   return engine;
-}
-
-void ShardedEngine::BindWindows(uint64_t restored_rotations) {
-  windows_.clear();
-  if (dynamic_cast<SlidingWindowSummary*>(shards_[0]->summary.get()) ==
-      nullptr) {
-    return;
-  }
-  windows_.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    auto* window =
-        static_cast<SlidingWindowSummary*>(shard->summary.get());
-    // Shard-local update counts must never rotate a ring: all K rings
-    // rotate together at global bucket boundaries, driven from here.
-    window->set_external_rotation(true);
-    windows_.push_back(window);
-  }
-  rotation_stride_ = windows_[0]->bucket_width();
-  // Pre-thread-start stores: Restore preset slot 0's enqueued counters.
-  uint64_t total = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) total += ShardEnqueued(s);
-  global_pos_.store(total, std::memory_order_relaxed);
-  rotations_done_.store(restored_rotations, std::memory_order_relaxed);
 }
 
 ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
@@ -508,7 +508,7 @@ void ShardedEngine::WorkerLoop(size_t first_shard, size_t last_shard) {
         // Batch drain: state-identical to the Update loop (the
         // differential battery pins it) but runs the adapters'
         // slice-tuned loops — count_min hashes each drained batch ahead.
-        shard.summary->UpdateColumn(batch.data(), n);
+        summaries_[s]->UpdateColumn(batch.data(), n);
         // Release-publish the summary mutations; Flush acquires.
         shard.applied.fetch_add(n, std::memory_order_release);
         if (obs::Enabled()) {
@@ -624,9 +624,6 @@ void ShardedEngine::RotateAtBoundary(uint64_t bucket) {
     // checkpoints.
     std::lock_guard<std::mutex> lock(state_mutex_);
     for (auto* window : windows_) window->Rotate();
-    // Rotation changes state without moving the applied count; a cached
-    // merge would silently keep serving the evicted bucket.
-    merged_valid_ = false;
     // Release-publish: a producer that acquires the new count also sees
     // the rotated windows, and its subsequent ring pushes carry that
     // ordering through to the workers.
@@ -830,130 +827,83 @@ void ShardedEngine::PublishMetrics() const {
   }
 }
 
-const Summary& ShardedEngine::RebuildMergedLocked() {
-  if (shards_.size() == 1) return *shards_[0]->summary;
-  const uint64_t epoch = TotalApplied();
-  const uint64_t rotations =
-      rotations_done_.load(std::memory_order_acquire);
-  if (merged_valid_ && epoch == merged_epoch_ &&
-      rotations == merged_rotations_) {
-    return *merged_;
+template <typename Fn>
+auto ShardedEngine::Parked(Fn&& fn) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  {
+    obs::ScopedPhase park("park_wait");
+    Flush();
+    PauseWorkers();
   }
-  // Rebuild: a fresh empty instance absorbs every shard.  All shards were
-  // constructed from the same options/seed, so the merges cannot fail on
-  // compatibility; if one does, surface it loudly (a silent partial merge
-  // would corrupt the global report).
-  static obs::Counter* const rebuild_ctr =
-      obs::GetCounter("l1hh_engine_merge_rebuilds_total");
-  static obs::Histogram* const rebuild_hist =
-      obs::GetHistogram("l1hh_engine_merge_rebuild_ns");
-  obs::ScopedPhase phase("merge_rebuild");  // only the cache-miss branch
-  const bool obs_on = obs::Enabled();
-  const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
-  merged_ = MakeSummary(options_.algorithm, options_.summary);
-  for (const auto& shard : shards_) {
-    const Status s = merged_->Merge(*shard->summary);
+  auto result = fn();
+  ResumeWorkers();
+  return result;
+}
+
+template <typename Read>
+auto ShardedEngine::ReadView(Read&& read) {
+  return Parked([&] {
+    // Rotation changes state without moving the applied count, so the
+    // rotation count is part of the cache key.
+    const Summary* view = nullptr;
+    const Status s =
+        merged_.View(summaries_, TotalApplied(),
+                     rotations_done_.load(std::memory_order_acquire), &view);
     if (!s.ok()) {
+      // A silent partial merge would corrupt the global report.
       std::fprintf(stderr, "ShardedEngine: shard merge failed: %s\n",
                    s.ToString().c_str());
       std::abort();
     }
-  }
-  merged_epoch_ = epoch;
-  merged_rotations_ = rotations;
-  merged_valid_ = true;
-  if (obs_on) {
-    rebuild_ctr->Inc();
-    rebuild_hist->Observe(obs::TraceRing::NowNs() - t0);
-  }
-  return *merged_;
+    obs::ScopedPhase report("report");
+    return read(*view);
+  });
 }
 
 const Summary& ShardedEngine::MergedView() {
   // LEGACY contract (see header): controller thread only, producers
   // quiescent — the returned reference is read after the workers resume.
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  const Summary& view = RebuildMergedLocked();
-  ResumeWorkers();
-  return view;
+  return *ReadView([](const Summary& view) { return &view; });
 }
 
+// The query spans below are inert (flattened) when a serving front end
+// already opened a verb span on this thread; they stand alone for direct
+// embedders.
 double ShardedEngine::Estimate(uint64_t item) {
-  // Inert (flattened) when a serving front end already opened a verb span
-  // on this thread; stands alone for direct embedders.
   obs::QuerySpan span("estimate");
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
-  const Summary& view = RebuildMergedLocked();
-  double estimate;
-  {
-    obs::ScopedPhase report("report");
-    estimate = view.Estimate(item);
-  }
-  ResumeWorkers();
-  return estimate;
+  return ReadView([item](const Summary& view) { return view.Estimate(item); });
 }
 
 std::vector<double> ShardedEngine::EstimateBatch(
     const std::vector<uint64_t>& items) {
   obs::QuerySpan span("estimate");
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
-  const Summary& view = RebuildMergedLocked();
-  std::vector<double> estimates;
-  {
-    obs::ScopedPhase report("report");
+  return ReadView([&items](const Summary& view) {
+    std::vector<double> estimates;
     estimates.reserve(items.size());
-    for (const uint64_t item : items) {
-      estimates.push_back(view.Estimate(item));
-    }
-  }
-  ResumeWorkers();
-  return estimates;
+    for (const uint64_t item : items) estimates.push_back(view.Estimate(item));
+    return estimates;
+  });
 }
 
 std::vector<ItemEstimate> ShardedEngine::HeavyHitters(double phi) {
   obs::QuerySpan span("heavy");
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
-  const Summary& view = RebuildMergedLocked();
-  std::vector<ItemEstimate> report;
-  {
-    obs::ScopedPhase phase("report");
-    report = view.HeavyHitters(phi);
-  }
-  ResumeWorkers();
-  return report;
+  return ReadView(
+      [phi](const Summary& view) { return view.HeavyHitters(phi); });
 }
 
 size_t ShardedEngine::MemoryUsageBytes() {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->summary->MemoryUsageBytes();
-    for (const auto& ring : shard->rings) {
-      total += ring->capacity() * sizeof(uint64_t);
+  return Parked([this] {
+    size_t total = merged_.MemoryUsageBytes();
+    for (const auto& summary : summaries_) {
+      total += summary->MemoryUsageBytes();
     }
-  }
-  if (merged_valid_) total += merged_->MemoryUsageBytes();
-  ResumeWorkers();
-  return total;
+    for (const auto& shard : shards_) {
+      for (const auto& ring : shard->rings) {
+        total += ring->capacity() * sizeof(uint64_t);
+      }
+    }
+    return total;
+  });
 }
 
 // ---- Checkpoint / Restore ---------------------------------------------
@@ -987,10 +937,10 @@ Status ShardedEngine::CaptureFramesLocked(
     if (can_delta) {
       frame.delta = true;
       const Status saved = SaveSummaryDelta(
-          *shards_[s]->summary, base.rotations, base.applied, &frame.bytes);
+          *summaries_[s], base.rotations, base.applied, &frame.bytes);
       if (!saved.ok()) return saved;
     } else {
-      const Status saved = SaveSummary(*shards_[s]->summary, &frame.bytes);
+      const Status saved = SaveSummary(*summaries_[s], &frame.bytes);
       if (!saved.ok()) return saved;
     }
     frames->push_back(std::move(frame));
@@ -1002,13 +952,10 @@ Status ShardedEngine::CaptureFramesLocked(
 Status ShardedEngine::CaptureFrames(
     const std::vector<ShardBaseline>& baselines, uint32_t max_delta_chain,
     std::vector<ShardFrame>* frames, uint64_t* total_applied) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  const Status result =
-      CaptureFramesLocked(baselines, max_delta_chain, frames, total_applied);
-  ResumeWorkers();
-  return result;
+  return Parked([&] {
+    return CaptureFramesLocked(baselines, max_delta_chain, frames,
+                               total_applied);
+  });
 }
 
 Status ShardedEngine::WriteCheckpoint(const std::string& dir,
@@ -1019,10 +966,7 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
   uint64_t frame_bytes = 0;
   uint64_t full_frames = 0;
   uint64_t delta_frames = 0;
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  Status result = [&]() -> Status {
+  Status result = Parked([&]() -> Status {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) {
@@ -1119,8 +1063,7 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
     if (!s.ok()) return s;
     PruneCheckpoints(dir);
     return Status::Ok();
-  }();
-  ResumeWorkers();
+  });
   if (result.ok()) {
     obs::GetCounter("l1hh_io_checkpoints_total",
                     std::string("kind=\"") + kind + "\"")
@@ -1197,8 +1140,6 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
   Manifest manifest;
   Status parsed = ParseManifestFile(manifest_path, &manifest);
   if (!parsed.ok()) return fail(std::move(parsed));
-  const std::string& algorithm = manifest.algorithm;
-  const uint64_t num_shards = manifest.num_shards;
 
   std::vector<std::unique_ptr<Summary>> loaded;
   loaded.reserve(manifest.shards.size());
@@ -1209,12 +1150,6 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
         (std::filesystem::path(dir) / record.files[0]).string(),
         &load_status);
     if (summary == nullptr) return fail(std::move(load_status));
-    if (summary->Name() != algorithm) {
-      return fail(Status::Corruption(
-          "shard file '" + record.files[0] + "' holds '" +
-          std::string(summary->Name()) + "', manifest says '" + algorithm +
-          "'"));
-    }
     // Replay the delta chain in manifest order; every delta's embedded
     // base clocks must match the state the previous file replayed to
     // (ApplyTail enforces it), so a chain spliced across checkpoints is
@@ -1242,106 +1177,12 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
     }
     loaded.push_back(std::move(summary));
   }
-  if (num_shards > 1 && !loaded[0]->SupportsMerge()) {
-    return fail(Status::FailedPrecondition(
-        "'" + algorithm + "' does not support Merge; a multi-shard "
-        "checkpoint of it cannot be valid"));
-  }
-  // All shards must come from ONE checkpoint: same options and seed, or
-  // the first MergedView() query would fail on Merge compatibility (and
-  // abort).  Catch a spliced-in foreign shard file here, as a Status.
-  const SummaryOptions base = loaded[0]->Options();
-  for (size_t s = 1; s < loaded.size(); ++s) {
-    if (!(loaded[s]->Options() == base)) {
-      return fail(Status::Corruption(
-          "shard " + std::to_string(s) + "'s chain was built with "
-          "different options or seed than shard 0's; not shards of one "
-          "checkpoint"));
-    }
-  }
-
-  // Windowed checkpoints additionally require rotation-aligned rings:
-  // every shard window must have crossed the same number of global bucket
-  // boundaries, or the restored rings would not be bucket-wise mergeable.
-  uint64_t restored_rotations = 0;
-  if (const auto* window0 =
-          dynamic_cast<const SlidingWindowSummary*>(loaded[0].get())) {
-    restored_rotations = window0->rotations();
-    for (size_t s = 1; s < loaded.size(); ++s) {
-      const auto* window =
-          static_cast<const SlidingWindowSummary*>(loaded[s].get());
-      if (window->rotations() != restored_rotations) {
-        return fail(Status::Corruption(
-            "shard " + std::to_string(s) + " rotated " +
-            std::to_string(window->rotations()) + " times, shard 0 " +
-            std::to_string(restored_rotations) +
-            "; not windows of one lockstep checkpoint"));
-      }
-    }
-    uint64_t total = 0;
-    for (const auto& summary : loaded) total += summary->ItemsProcessed();
-    const uint64_t stride = window0->bucket_width();
-    // The rotation protocol admits floor((total-1)/stride) rotations for
-    // any item total — and, exactly AT a boundary, one more: a
-    // multi-producer checkpoint can catch the state where the boundary
-    // claimant has rotated but its boundary item is not yet applied
-    // (single-producer lazy rotation only ever checkpoints the former).
-    // Derive by DIVISION: `restored_rotations` comes off the wire, and
-    // multiplying by it could wrap u64 past this check (the same
-    // hardening the snapshot width*depth checks got in PR 4).
-    const uint64_t lazy_rotations = total == 0 ? 0 : (total - 1) / stride;
-    const bool at_boundary = total != 0 && total % stride == 0;
-    // Also bound it so the global clock arithmetic in IngestWindowed
-    // ((bucket + 1) * stride) cannot wrap u64 (which would mis-split
-    // claims and silently break rotation).
-    if (lazy_rotations >= ~uint64_t{0} / stride - 1) {
-      return fail(Status::Corruption(
-          "checkpoint claims an implausible combined item count " +
-          std::to_string(total)));
-    }
-    const bool plausible =
-        restored_rotations == lazy_rotations ||
-        (at_boundary && restored_rotations == total / stride);
-    if (!plausible) {
-      return fail(Status::Corruption(
-          "checkpoint window rotation count " +
-          std::to_string(restored_rotations) +
-          " disagrees with the combined item count " +
-          std::to_string(total) + " (bucket width " +
-          std::to_string(stride) + " implies " +
-          std::to_string(lazy_rotations) +
-          (at_boundary
-               ? " or " + std::to_string(total / stride)
-               : "") +
-          ")"));
-    }
-  }
-
+  // Start runs the set checks a replica round also passes: one
+  // algorithm, one seed, lockstep windows (engine/shard_set.h).
   ShardedEngineOptions options = exec;
-  options.algorithm = algorithm;
+  options.algorithm = manifest.algorithm;
   options.summary = loaded[0]->Options();
-  options.num_shards = static_cast<size_t>(num_shards);
-  if (options.max_producers == 0 ||
-      options.max_producers > kMaxProducerSlots) {
-    return fail(Status::InvalidArgument(
-        "exec.max_producers " + std::to_string(options.max_producers) +
-        " is out of range [1, " + std::to_string(kMaxProducerSlots) + "]"));
-  }
-  std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options));
-  for (size_t s = 0; s < engine->shards_.size(); ++s) {
-    const uint64_t processed = loaded[s]->ItemsProcessed();
-    engine->shards_[s]->summary = std::move(loaded[s]);
-    // Pre-thread-start stores: the worker pool has not launched yet.
-    // The restored prefix is credited to slot 0 — the clock only needs
-    // the sums, not the per-slot attribution.
-    engine->slots_[0]->enqueued[s].value.store(processed,
-                                               std::memory_order_relaxed);
-    engine->shards_[s]->applied.store(processed, std::memory_order_relaxed);
-  }
-  engine->BindWindows(restored_rotations);
-  engine->StartWorkers();
-  if (status != nullptr) *status = Status::Ok();
-  return engine;
+  return Start(options, std::move(loaded), status);
 }
 
 std::unique_ptr<ShardedEngine> ShardedEngine::Restore(const std::string& dir,

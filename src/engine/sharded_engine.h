@@ -89,6 +89,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/shard_set.h"
 #include "engine/spsc_ring.h"
 #include "summary/summary.h"
 #include "util/status.h"
@@ -395,16 +396,16 @@ class ShardedEngine {
     std::atomic<uint64_t> value{0};
   };
 
-  // Each shard owns one ring PER PRODUCER SLOT (rings[p] is slot p's),
-  // its summary, and the applied item count.  `applied` is published
-  // with release order after every drain, so a thread that observes
-  // applied == sum(enqueued) also observes the summary mutations behind
-  // it.  The matching enqueued counts live in ProducerSlot, one per
-  // shard, so each is written by exactly one producer thread.
+  // Each shard owns one ring PER PRODUCER SLOT (rings[p] is slot p's)
+  // and the applied item count of its summary (summaries_[s]).
+  // `applied` is published with release order after every drain, so a
+  // thread that observes applied == sum(enqueued) also observes the
+  // summary mutations behind it.  The matching enqueued counts live in
+  // ProducerSlot, one per shard, so each is written by exactly one
+  // producer thread.
   struct Shard {
     Shard(size_t producer_slots, size_t ring_capacity);
     std::vector<std::unique_ptr<SpscRing<uint64_t>>> rings;
-    std::unique_ptr<Summary> summary;
     alignas(64) std::atomic<uint64_t> applied{0};
     // Max ring occupancy ever observed by the owning worker (single
     // writer: plain load/compare/store-relaxed, no RMW needed).
@@ -441,10 +442,6 @@ class ShardedEngine {
   // acquire-ordered (the Flush targets).
   uint64_t ShardEnqueued(size_t shard_index) const;
   uint64_t TotalApplied() const;
-  // Captures the per-shard SlidingWindowSummary pointers (or clears them
-  // for a plain algorithm) and switches the windows to external rotation;
-  // `restored_rotations` seeds the global rotation clock after Restore.
-  void BindWindows(uint64_t restored_rotations);
   // The claimant of bucket `bucket`'s first position waits for bucket-1
   // to have rotated and for the global applied count to reach the
   // boundary, then rotates every shard window under state_mutex_ and
@@ -459,10 +456,17 @@ class ShardedEngine {
   // allocation (defined in the .cc; all instantiations live there).
   template <typename PushFn>
   void IngestWindowed(uint64_t total, PushFn&& push);
-  // Rebuilds the merge cache if stale and returns the current view.
-  // Requires state_mutex_ held AND workers parked (it reads the shard
-  // summaries).
-  const Summary& RebuildMergedLocked();
+  // Runs `fn` under the read-side protocol every query, capture and
+  // checkpoint shares: serialize on state_mutex_, Flush, park the workers
+  // (the `park_wait` query phase), run, resume.  While `fn` runs, the
+  // shard summaries and the merge cache are safe to touch.
+  template <typename Fn>
+  auto Parked(Fn&& fn);
+  // Parked, then `read(view)` on the merged view from merged_ (the
+  // `report` phase).  Aborts if the shards fail to merge, which
+  // Create-built or CheckShardSet-valid shards cannot.
+  template <typename Read>
+  auto ReadView(Read&& read);
   // CaptureFrames body; requires state_mutex_ held and workers parked.
   Status CaptureFramesLocked(const std::vector<ShardBaseline>& baselines,
                              uint32_t max_delta_chain,
@@ -472,6 +476,14 @@ class ShardedEngine {
   // newest on-disk manifest (when `incremental`), write the changed
   // files, seal the new generation with its manifest, prune old ones.
   Status WriteCheckpoint(const std::string& dir, bool incremental);
+  // The one route from a shard set to a running engine, for Create and
+  // Restore: refuses an out-of-range max_producers or a set that fails
+  // CheckShardSet, credits each shard's items to slot 0 (a restored
+  // prefix), binds the windows to the global rotation clock and starts
+  // the workers.
+  static std::unique_ptr<ShardedEngine> Start(
+      ShardedEngineOptions options,
+      std::vector<std::unique_ptr<Summary>> summaries, Status* status);
   // One restore attempt against generation `generation` of `dir`; Restore
   // walks generations newest-first until one succeeds.
   static std::unique_ptr<ShardedEngine> RestoreGeneration(
@@ -480,6 +492,9 @@ class ShardedEngine {
 
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // The shard summaries, one per shard; summaries_[s] is written only by
+  // the worker that owns shard s, or by a thread that parked the workers.
+  std::vector<std::unique_ptr<Summary>> summaries_;
   std::vector<std::unique_ptr<ProducerSlot>> slots_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};
@@ -504,13 +519,9 @@ class ShardedEngine {
   std::condition_variable resume_cv_;
   size_t parked_workers_ = 0;
 
-  // Merge-epoch cache (guarded by state_mutex_): `merged_` answers for
-  // the first `merged_epoch_` applied items at rotation count
-  // `merged_rotations_` and is rebuilt only when either moves.
-  std::unique_ptr<Summary> merged_;
-  uint64_t merged_epoch_ = 0;
-  uint64_t merged_rotations_ = 0;
-  bool merged_valid_ = false;
+  // Merge-epoch cache (guarded by state_mutex_), keyed on the applied
+  // count and the rotation count: rebuilt only when either moves.
+  MergedViewCache merged_{"l1hh_engine_merge"};
 
   // Windowed operation: the shard windows in external-rotation mode
   // (mutated only under state_mutex_), the global bucket width, the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <list>
@@ -43,6 +45,15 @@ bool ParseU64(std::string_view text, uint64_t* out) {
   for (; i < text.size(); ++i) {
     if (text[i] != ' ') return false;
   }
+  *out = value;
+  return true;
+}
+
+bool ParseFiniteDouble(std::string_view text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
   *out = value;
   return true;
 }

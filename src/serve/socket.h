@@ -42,6 +42,9 @@ bool WriteLine(int fd, const std::string& line);
 // followed by spaces. A sign, any other character, or a value above
 // 2^64 - 1 is refused.
 bool ParseU64(std::string_view text, uint64_t* out);
+// Parses a decimal or scientific double; refuses trailing characters, a
+// leading '+', and anything that is not finite.
+bool ParseFiniteDouble(std::string_view text, double* out);
 // Parses the count of a `bin <N>` ingest header (the text after "bin "):
 // ParseU64, and no more than kMaxBinaryBatch.
 bool ParseBinCount(std::string_view text, uint64_t* count);

@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -24,9 +25,11 @@
 #include <unistd.h>
 
 #include "engine/sharded_engine.h"
+#include "io/snapshot.h"
 #include "serve/socket.h"
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
+#include "summary/summary.h"
 
 #ifndef L1HH_SERVE_BINARY
 #error "build must define L1HH_SERVE_BINARY (see tests/CMakeLists.txt)"
@@ -479,6 +482,144 @@ TEST(ReplicationTest, StandbyRefusesMalformedSyncLine) {
   standby.SendLine("shutdown");
   EXPECT_EQ(standby.ReadLine(), "ok");
   ExpectExitedCleanly(replica);
+}
+
+// ---- Atomic rounds against a scripted primary --------------------------
+
+// Full-frame bytes for one shard: a summary of `algorithm` with `seed`
+// holding `count` occurrences of `item`.
+std::vector<uint8_t> ShardFrame(const std::string& algorithm, uint64_t seed,
+                                uint64_t item, uint64_t count) {
+  SummaryOptions options;
+  options.seed = seed;
+  auto summary = MakeSummary(algorithm, options);
+  EXPECT_NE(summary, nullptr) << algorithm;
+  if (summary == nullptr) return {};
+  summary->Update(item, count);
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(SaveSummary(*summary, &bytes).ok());
+  return bytes;
+}
+
+// One scripted sync round: full frames (shard, bytes), then "rsync
+// <items>" — or, when `torn`, a hang-up right after the frames.
+struct ScriptedRound {
+  std::vector<std::pair<size_t, std::vector<uint8_t>>> frames;
+  uint64_t items = 0;
+  bool torn = false;
+};
+
+// Runs a fake K=2 `exact` primary on `primary_sock` that answers the
+// standby's replicate and sync requests with `rounds`, starts a standby
+// on it, waits until the fake has played every round and the standby has
+// lost it, and returns the standby's pid (still serving on
+// `replica_sock`).
+pid_t RunScriptedPrimary(const std::string& primary_sock,
+                         const std::string& replica_sock,
+                         const std::vector<ScriptedRound>& rounds) {
+  Status status;
+  auto fake_primary = serve::UnixListener::Bind(primary_sock, &status);
+  EXPECT_NE(fake_primary, nullptr) << status.ToString();
+  if (fake_primary == nullptr) return -1;
+  std::atomic<bool> played{false};
+  std::thread accept_loop([&fake_primary, &rounds, &played] {
+    fake_primary->Run([&rounds, &played](int fd) {
+      serve::LineReader reader(fd);
+      std::string line;
+      if (!reader.ReadLine(&line) || line != "replicate") return;
+      serve::WriteLine(fd, "rconf shards=2 algo=exact");
+      for (size_t r = 0; r < rounds.size(); ++r) {
+        if (r > 0 && (!reader.ReadLine(&line) || line != "sync")) break;
+        for (const auto& [shard, bytes] : rounds[r].frames) {
+          serve::WriteLine(fd, "frame full " + std::to_string(shard) + " " +
+                                   std::to_string(bytes.size()));
+          serve::WriteAll(fd, reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size());
+        }
+        if (rounds[r].torn) break;
+        serve::WriteLine(fd, "rsync " + std::to_string(rounds[r].items));
+      }
+      // Die: the standby sees EOF mid-round or on its next request.
+      ::shutdown(fd, SHUT_RDWR);
+      played.store(true);
+    });
+  });
+  const pid_t replica = StartReplica(primary_sock, replica_sock);
+  EXPECT_GT(replica, 0);
+  for (int attempt = 0; attempt < 400 && !played.load(); ++attempt) {
+    ::usleep(50 * 1000);
+  }
+  EXPECT_TRUE(played.load());
+  {
+    // The standby reached round 2 only after committing round 1, which
+    // marks the primary up; "lost" now means it saw the fake die.
+    Client standby(replica_sock);
+    AwaitStats(standby, "primary=lost");
+  }
+  fake_primary->RequestStop();
+  accept_loop.join();
+  return replica;
+}
+
+// Round 1: shard 0 holds item 7 x100, shard 1 item 9 x50.
+ScriptedRound FirstRound() {
+  return {{{0, ShardFrame("exact", 1, 7, 100)},
+           {1, ShardFrame("exact", 1, 9, 50)}},
+          150};
+}
+
+// The standby still serves round 1 exactly, then shuts down cleanly.
+void ExpectServesFirstRound(const std::string& replica_sock, pid_t replica) {
+  Client standby(replica_sock);
+  const std::string stats = standby.Stats();
+  EXPECT_NE(stats.find("items=150 "), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" syncs=1 "), std::string::npos) << stats;
+  const std::map<uint64_t, double> want = {{7, 100.0}, {9, 50.0}};
+  EXPECT_EQ(standby.Heavy(0.3), want);
+  EXPECT_EQ(standby.EstimateOf(7), 100.0);
+  EXPECT_EQ(standby.EstimateOf(9), 50.0);
+  standby.SendLine("shutdown");
+  EXPECT_EQ(standby.ReadLine(), "ok");
+  ExpectExitedCleanly(replica);
+}
+
+// A primary that dies between two frames of one round must leave the
+// standby serving the last committed round — not a mix of round 1's
+// shard 1 and round 2's shard 0. No query runs between the rounds, so
+// nothing could have cached round 1's view.
+TEST(ReplicationTest, PrimaryDeathMidRoundKeepsLastCommittedRound) {
+  ScriptedRound torn;
+  torn.frames.emplace_back(0, ShardFrame("exact", 1, 7, 400));
+  torn.torn = true;
+  const std::string replica_sock =
+      testing::TempDir() + "/repl_torn_standby.sock";
+  const pid_t replica =
+      RunScriptedPrimary(testing::TempDir() + "/repl_torn_primary.sock",
+                         replica_sock, {FirstRound(), torn});
+  ASSERT_GT(replica, 0);
+  ExpectServesFirstRound(replica_sock, replica);
+}
+
+// A complete round whose shard 1 cannot join shard 0 — built with another
+// seed, or holding another algorithm than rconf's — is refused whole,
+// and round 1 keeps serving.
+TEST(ReplicationTest, StandbyRefusesRoundThatFailsShardSetChecks) {
+  for (const auto& [algorithm, seed] :
+       std::vector<std::pair<std::string, uint64_t>>{{"exact", 2},
+                                                     {"misra_gries", 1}}) {
+    SCOPED_TRACE(algorithm + " seed " + std::to_string(seed));
+    ScriptedRound foreign;
+    foreign.frames.emplace_back(0, ShardFrame("exact", 1, 7, 400));
+    foreign.frames.emplace_back(1, ShardFrame(algorithm, seed, 9, 80));
+    foreign.items = 480;
+    const std::string replica_sock =
+        testing::TempDir() + "/repl_foreign_standby.sock";
+    const pid_t replica =
+        RunScriptedPrimary(testing::TempDir() + "/repl_foreign_primary.sock",
+                           replica_sock, {FirstRound(), foreign});
+    ASSERT_GT(replica, 0);
+    ExpectServesFirstRound(replica_sock, replica);
+  }
 }
 
 // A --primary path that cannot fit sockaddr_un::sun_path is refused at

@@ -2,8 +2,8 @@
 // label: engine): drives QueryVerbs over a socketpair() against a fake
 // QueryBackend, with no forked binary. Pins the reply framing of every
 // verb, the error text for every malformed argument, connection
-// handling (empty lines, quit, shutdown), and the listener's reaping of
-// finished connections.
+// handling (empty lines, quit, shutdown), the listener's reaping of
+// finished connections, and the binaries' strict flag parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "serve/flags.h"
 #include "serve/query_verbs.h"
 #include "serve/socket.h"
 
@@ -238,6 +239,93 @@ TEST(ServeCodecTest, BinHeaderCountIsBounded) {
   EXPECT_FALSE(ParseBinCount(std::to_string(kMaxBinaryBatch + 1), &count));
   EXPECT_FALSE(ParseBinCount("-1", &count));
   EXPECT_FALSE(ParseBinCount("18446744073709551615", &count));
+}
+
+TEST(ServeCodecTest, ParseFiniteDoubleRefusesGarbageAndNonFinite) {
+  double value = 0.0;
+  EXPECT_TRUE(ParseFiniteDouble("0.05", &value));
+  EXPECT_EQ(value, 0.05);
+  EXPECT_TRUE(ParseFiniteDouble("1e-3", &value));
+  EXPECT_EQ(value, 1e-3);
+  for (const char* bad :
+       {"", "abc", "0.05x", "+1", " 1", "1 ", "nan", "inf", "1e999"}) {
+    value = 7.0;
+    EXPECT_FALSE(ParseFiniteDouble(bad, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 7.0) << "a refused value must not be written";
+  }
+}
+
+// The serving binaries' command-line parser, driven in-process.
+struct ParsedFlags {
+  std::string socket;
+  uint64_t shards = 4;
+  double phi = 0.05;
+  uint64_t port = 0;
+  bool port_seen = false;
+};
+
+Status ParseArgs(const std::vector<std::string>& args, ParsedFlags* out) {
+  FlagSet flags;
+  flags.Add("--socket", &out->socket);
+  flags.Add("--path", &out->socket);
+  flags.Add("--shards", &out->shards);
+  flags.Add("--phi", &out->phi);
+  flags.Add("--http", &out->port, &out->port_seen);
+  std::vector<const char*> argv = {"binary"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  return flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ServeFlagsTest, AcceptsBothSpellingsAndAliases) {
+  ParsedFlags parsed;
+  const Status status = ParseArgs(
+      {"--socket=/tmp/a.sock", "--shards", "8", "--phi=0.1"}, &parsed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(parsed.socket, "/tmp/a.sock");
+  EXPECT_EQ(parsed.shards, 8u);
+  EXPECT_EQ(parsed.phi, 0.1);
+  EXPECT_FALSE(parsed.port_seen);
+  ASSERT_TRUE(ParseArgs({"--path", "/tmp/b.sock", "--http=0"}, &parsed).ok());
+  EXPECT_EQ(parsed.socket, "/tmp/b.sock");
+  EXPECT_TRUE(parsed.port_seen);  // port 0 (ephemeral) was asked for
+  EXPECT_EQ(parsed.port, 0u);
+}
+
+TEST(ServeFlagsTest, RefusesMalformedNumbers) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--shards=4x"},
+                                             {"--shards=abc"},
+                                             {"--shards=-1"},
+                                             {"--shards", "+4"},
+                                             {"--shards=99999999999999999999"},
+                                             {"--phi=abc"},
+                                             {"--phi=0.05x"},
+                                             {"--phi=nan"},
+                                             {"--http=80x"}}) {
+    ParsedFlags parsed;
+    const Status status = ParseArgs(args, &parsed);
+    EXPECT_FALSE(status.ok()) << args[0];
+    EXPECT_NE(status.message().find("malformed value"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(parsed.shards, 4u) << "a refused value must not be written";
+    EXPECT_EQ(parsed.phi, 0.05);
+    EXPECT_FALSE(parsed.port_seen);
+  }
+}
+
+TEST(ServeFlagsTest, RefusesMissingEmptyAndUnknownFlags) {
+  ParsedFlags parsed;
+  Status status = ParseArgs({"--shards"}, &parsed);
+  EXPECT_EQ(status.message(), "flag --shards needs a value");
+  status = ParseArgs({"--socket="}, &parsed);
+  EXPECT_EQ(status.message(), "flag --socket needs a non-empty value");
+  status = ParseArgs({"--bogus=1"}, &parsed);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unknown flag: --bogus"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("--socket --path --shards --phi --http"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(ServeCodecTest, LineReaderMixesLinesAndExactReads) {

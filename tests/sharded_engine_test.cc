@@ -12,10 +12,12 @@
 #include <thread>
 #include <vector>
 
+#include "engine/shard_set.h"
 #include "engine/spsc_ring.h"
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/summary.h"
+#include "window/sliding_window_summary.h"
 
 namespace l1hh {
 namespace {
@@ -446,6 +448,130 @@ TEST(ShardedEngineTest, TinyRingGridBackpressureLosesNothing) {
     EXPECT_EQ(engine->Estimate(planted.planted_ids[p]),
               static_cast<double>(planted.planted_counts[p]));
   }
+}
+
+// --------------------------------------------------------------------------
+// CheckShardSet: the shard-set checks Restore and a replica round share.
+// One case per refusal, plus the sets that must pass.
+
+std::vector<std::unique_ptr<Summary>> ShardSet(const std::string& algorithm,
+                                               size_t k) {
+  std::vector<std::unique_ptr<Summary>> shards;
+  for (size_t s = 0; s < k; ++s) {
+    shards.push_back(
+        MakeSummary(algorithm, EngineOptions(algorithm, k, 1000).summary));
+  }
+  return shards;
+}
+
+// K windowed:exact shards (W = 100, B = 4: bucket width 25), each fed
+// items[s] items and rotated rotations[s] times by hand, the way the
+// engine drives them.
+std::vector<std::unique_ptr<Summary>> WindowSet(
+    const std::vector<uint64_t>& items,
+    const std::vector<uint64_t>& rotations) {
+  SummaryOptions options = EngineOptions("exact", 2, 1000).summary;
+  options.window_size = 100;
+  options.window_buckets = 4;
+  std::vector<std::unique_ptr<Summary>> shards;
+  for (size_t s = 0; s < items.size(); ++s) {
+    auto summary = MakeSummary("windowed:exact", options);
+    auto* window = static_cast<SlidingWindowSummary*>(summary.get());
+    window->set_external_rotation(true);
+    for (uint64_t r = 0; r < rotations[s]; ++r) window->Rotate();
+    for (uint64_t i = 0; i < items[s]; ++i) window->Update(s + 1);
+    shards.push_back(std::move(summary));
+  }
+  return shards;
+}
+
+TEST(CheckShardSetTest, AcceptsShardsOfOneStream) {
+  uint64_t rotations = 99;
+  EXPECT_TRUE(CheckShardSet(ShardSet("exact", 3), "exact", &rotations).ok());
+  EXPECT_EQ(rotations, 0u);
+  // A lone shard needs no Merge.
+  EXPECT_TRUE(CheckShardSet(ShardSet("lossy_counting", 1), "lossy_counting",
+                            &rotations)
+                  .ok());
+  // 60 items at bucket width 25 admit exactly 2 lockstep rotations.
+  const Status lockstep =
+      CheckShardSet(WindowSet({30, 30}, {2, 2}), "windowed:exact", &rotations);
+  EXPECT_TRUE(lockstep.ok()) << lockstep.ToString();
+  EXPECT_EQ(rotations, 2u);
+  // Exactly at a boundary (50 items) a capture may also hold the
+  // claimant's rotation ahead of its boundary item.
+  EXPECT_TRUE(
+      CheckShardSet(WindowSet({25, 25}, {1, 1}), "windowed:exact", &rotations)
+          .ok());
+  EXPECT_TRUE(
+      CheckShardSet(WindowSet({25, 25}, {2, 2}), "windowed:exact", &rotations)
+          .ok());
+  EXPECT_EQ(rotations, 2u);
+}
+
+TEST(CheckShardSetTest, RefusesEmptyOrMissingShards) {
+  uint64_t rotations = 0;
+  EXPECT_FALSE(CheckShardSet({}, "exact", &rotations).ok());
+  auto shards = ShardSet("exact", 2);
+  shards[1].reset();
+  EXPECT_FALSE(CheckShardSet(shards, "exact", &rotations).ok());
+}
+
+TEST(CheckShardSetTest, RefusesAnotherAlgorithm) {
+  uint64_t rotations = 0;
+  auto shards = ShardSet("exact", 2);
+  shards[1] = MakeSummary("misra_gries", shards[0]->Options());
+  const Status status = CheckShardSet(shards, "exact", &rotations);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("misra_gries"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(CheckShardSet(ShardSet("exact", 2), "count_min", &rotations)
+                   .ok());
+}
+
+TEST(CheckShardSetTest, RefusesMultiShardNonMergeableSet) {
+  uint64_t rotations = 0;
+  const Status status = CheckShardSet(ShardSet("lossy_counting", 2),
+                                      "lossy_counting", &rotations);
+  EXPECT_EQ(status.code(), Status::Code::kFailedPrecondition)
+      << status.ToString();
+}
+
+TEST(CheckShardSetTest, RefusesForeignSeedOrOptions) {
+  uint64_t rotations = 0;
+  auto shards = ShardSet("count_min", 2);
+  SummaryOptions foreign = shards[0]->Options();
+  foreign.seed += 1;
+  shards[1] = MakeSummary("count_min", foreign);
+  EXPECT_FALSE(CheckShardSet(shards, "count_min", &rotations).ok());
+  foreign = shards[0]->Options();
+  foreign.epsilon *= 2;
+  shards[1] = MakeSummary("count_min", foreign);
+  EXPECT_FALSE(CheckShardSet(shards, "count_min", &rotations).ok());
+}
+
+TEST(CheckShardSetTest, RefusesUnequalWindowRotations) {
+  uint64_t rotations = 0;
+  const Status status =
+      CheckShardSet(WindowSet({30, 30}, {2, 1}), "windowed:exact", &rotations);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("lockstep"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CheckShardSetTest, RefusesImplausibleRotationCount) {
+  uint64_t rotations = 0;
+  // 60 items at bucket width 25 imply 2 rotations, not 3 or 1.
+  EXPECT_FALSE(
+      CheckShardSet(WindowSet({30, 30}, {3, 3}), "windowed:exact", &rotations)
+          .ok());
+  EXPECT_FALSE(
+      CheckShardSet(WindowSet({30, 30}, {1, 1}), "windowed:exact", &rotations)
+          .ok());
+  // At the 50-item boundary 1 or 2 pass (above); 3 does not.
+  EXPECT_FALSE(
+      CheckShardSet(WindowSet({25, 25}, {3, 3}), "windowed:exact", &rotations)
+          .ok());
 }
 
 }  // namespace

@@ -73,6 +73,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -84,6 +85,8 @@
 #include "io/snapshot.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
+#include "serve/flags.h"
+#include "serve/socket.h"
 #include "stream/stream_generator.h"
 #include "summary/evaluation.h"
 #include "summary/summary.h"
@@ -158,217 +161,110 @@ std::string CanonicalAlgoName(const std::string& name) {
   return name;
 }
 
-/// Flags the parser understands, for the did-you-mean hint.
-const char* const kKnownFlags[] = {
-    "--kind",  "--algo", "--algorithm", "--alpha",   "--epsilon",
-    "--phi",   "--delta", "--n",        "--m",       "--seed",
-    "--shards", "--threads", "--out",   "--save",    "--window",
-    "--buckets", "--format", "--group-col", "--groups", "--stats",
-    "--audit",
-};
-
-size_t EditDistance(const std::string& a, const std::string& b) {
-  std::vector<size_t> row(b.size() + 1);
-  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    size_t diag = row[0];
-    row[0] = i;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      const size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
+Status Parse(int argc, char** argv, Args* out) {
+  serve::FlagSet flags;
+  flags.Add("--kind", &out->kind);
+  flags.Add("--algo", &out->algorithm);
+  flags.Add("--algorithm", &out->algorithm);
+  flags.Add("--alpha", &out->alpha);
+  flags.Add("--epsilon", &out->epsilon);
+  flags.Add("--phi", &out->phi, &out->phi_given);
+  flags.Add("--delta", &out->delta);
+  flags.Add("--n", &out->n);
+  flags.Add("--m", &out->m);
+  flags.Add("--seed", &out->seed);
+  flags.Add("--shards", &out->shards);
+  flags.Add("--threads", &out->threads);
+  flags.Add("--out", &out->out);
+  flags.Add("--save", &out->save_path);
+  flags.Add("--window", &out->window);
+  flags.Add("--buckets", &out->buckets);
+  flags.Add("--format", &out->format);
+  flags.Add("--groups", &out->groups);
+  // Presence flags: a bare --group-col, --stats (text exposition) or
+  // --audit (default sampling rate) never swallows the next token;
+  // --stats=json and --audit=RATE pick the value.
+  flags.Bare("--group-col", [out](std::string_view value) {
+    out->group_col = true;
+    return value.empty();
+  });
+  flags.Bare("--stats", [out](std::string_view value) {
+    out->stats = value.empty() ? "text" : std::string(value);
+    return out->stats == "text" || out->stats == "json";
+  });
+  flags.Bare("--audit", [out](std::string_view value) {
+    out->audit = true;
+    return value.empty() ||
+           (serve::ParseU64(value, &out->audit_rate) && out->audit_rate != 0);
+  });
+  const Status parsed = flags.Parse(argc, argv, &out->positional);
+  if (!parsed.ok()) return parsed;
+  // The command is the first argument when it is not a flag; bare tokens
+  // after it are positional arguments (the snapshot files of `load` /
+  // `merge`).
+  if (argc > 1 && argv[1][0] != '-') {
+    out->command = out->positional.front();
+    out->positional.erase(out->positional.begin());
   }
-  return row[b.size()];
-}
-
-void PrintUnknownFlag(const std::string& key) {
-  std::string best;
-  size_t best_distance = 3;  // suggest only near misses
-  for (const char* known : kKnownFlags) {
-    const size_t d = EditDistance(key, known);
-    if (d < best_distance) {
-      best_distance = d;
-      best = known;
-    }
-  }
-  if (best.empty()) {
-    std::fprintf(stderr, "unknown flag: %s\n", key.c_str());
-  } else {
-    std::fprintf(stderr, "unknown flag: %s (did you mean %s?)\n",
-                 key.c_str(), best.c_str());
-  }
-}
-
-bool Parse(int argc, char** argv, Args* out) {
-  int i = 1;
-  if (i < argc && argv[i][0] != '-') {
-    out->command = argv[i];
-    ++i;
-  }
-  for (; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      // Bare tokens after the command are positional arguments (the
-      // snapshot files of `load` / `merge`).
-      out->positional.push_back(key);
-      continue;
-    }
-    if (key == "--group-col") {
-      // A boolean flag: its presence is the value.
-      out->group_col = true;
-      continue;
-    }
-    if (key == "--stats" || key.rfind("--stats=", 0) == 0) {
-      // Presence-only (defaults to text exposition) or --stats=json;
-      // intercepted here so bare --stats never swallows the next token.
-      out->stats = key == "--stats" ? "text" : key.substr(8);
-      if (out->stats != "text" && out->stats != "json") {
-        std::fprintf(stderr, "--stats must be text or json\n");
-        return false;
-      }
-      continue;
-    }
-    if (key == "--audit" || key.rfind("--audit=", 0) == 0) {
-      // Presence-only (default sampling rate) or --audit=RATE; like
-      // --stats, intercepted so bare --audit never swallows a token.
-      out->audit = true;
-      if (key != "--audit") {
-        out->audit_rate = std::strtoull(key.c_str() + 8, nullptr, 10);
-        if (out->audit_rate == 0) {
-          std::fprintf(stderr, "--audit rate must be >= 1\n");
-          return false;
-        }
-      }
-      continue;
-    }
-    std::string value;
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      std::fprintf(stderr, "flag %s needs a non-empty value\n", key.c_str());
-      return false;
-    }
-    if (key == "--kind") {
-      out->kind = value;
-    } else if (key == "--algo" || key == "--algorithm") {
-      out->algorithm = CanonicalAlgoName(value);
-    } else if (key == "--alpha") {
-      out->alpha = std::atof(value.c_str());
-    } else if (key == "--epsilon") {
-      out->epsilon = std::atof(value.c_str());
-    } else if (key == "--phi") {
-      out->phi = std::atof(value.c_str());
-      out->phi_given = true;
-    } else if (key == "--delta") {
-      out->delta = std::atof(value.c_str());
-    } else if (key == "--n") {
-      out->n = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--m") {
-      out->m = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--seed") {
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--shards") {
-      out->shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--threads") {
-      out->threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--out") {
-      out->out = value;
-    } else if (key == "--save") {
-      out->save_path = value;
-    } else if (key == "--window") {
-      out->window = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--buckets") {
-      out->buckets = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--format") {
-      out->format = value;
-    } else if (key == "--groups") {
-      out->groups = std::strtoull(value.c_str(), nullptr, 10);
-    } else {
-      PrintUnknownFlag(key);
-      return false;
-    }
-  }
+  out->algorithm = CanonicalAlgoName(out->algorithm);
+  const auto refuse = [](const char* why) {
+    return Status::InvalidArgument(why);
+  };
   if (out->epsilon <= 0 || out->phi <= 0 || out->delta <= 0) {
-    std::fprintf(stderr, "--epsilon, --phi, and --delta must be > 0\n");
-    return false;
+    return refuse("--epsilon, --phi, and --delta must be > 0");
   }
-  if (out->shards == 0) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return false;
-  }
+  if (out->shards == 0) return refuse("--shards must be >= 1");
   if (out->format != "text" && out->format != "json") {
-    std::fprintf(stderr, "--format must be text or json\n");
-    return false;
+    return refuse("--format must be text or json");
   }
   // Only run (incl. the empty-command shorthand) and merge emit JSON;
   // accepting the flag elsewhere would silently print prose into a JSON
   // consumer's pipe.
   if (out->format == "json" && !out->command.empty() &&
       out->command != "run" && out->command != "merge") {
-    std::fprintf(stderr, "--format=json is supported by run and merge\n");
-    return false;
+    return refuse("--format=json is supported by run and merge");
   }
   // The registry only fills during an actual run; printing it after any
   // other command would show zeros and mislead — reject.
   if (!out->stats.empty() && !out->command.empty() &&
       out->command != "run") {
-    std::fprintf(stderr, "--stats is supported by run\n");
-    return false;
+    return refuse("--stats is supported by run");
   }
   // The auditor shadows the WHOLE stream; a window forgets, a grouped
   // run has no single global summary to audit — reject both, and any
   // command that never ingests.
   if (out->audit) {
     if (!out->command.empty() && out->command != "run") {
-      std::fprintf(stderr, "--audit is supported by run\n");
-      return false;
+      return refuse("--audit is supported by run");
     }
     if (out->window != 0 || IsWindowedSummaryName(out->algorithm)) {
-      std::fprintf(stderr, "--audit cannot be combined with --window\n");
-      return false;
+      return refuse("--audit cannot be combined with --window");
     }
     if (out->group_col) {
-      std::fprintf(stderr, "--audit cannot be combined with --group-col\n");
-      return false;
+      return refuse("--audit cannot be combined with --group-col");
     }
   }
   // Grouped mode only exists where a GroupedSummary can be driven; on
   // any other command the flag would be silently ignored — reject.
   if (out->group_col && !out->command.empty() && out->command != "run" &&
       out->command != "heavy") {
-    std::fprintf(stderr, "--group-col is supported by run and heavy\n");
-    return false;
+    return refuse("--group-col is supported by run and heavy");
   }
   if (out->groups != 0 && !out->command.empty() &&
       out->command != "generate" && out->command != "run") {
-    std::fprintf(stderr, "--groups is supported by generate and run\n");
-    return false;
+    return refuse("--groups is supported by generate and run");
   }
   // A GroupedSummary is a single-threaded object; the sharded engine has
   // no per-key routing (yet).
   if (out->group_col && out->shards > 1) {
-    std::fprintf(stderr, "--group-col does not combine with --shards\n");
-    return false;
+    return refuse("--group-col does not combine with --shards");
   }
   // --buckets shapes a window; on a plain algorithm with no --window it
   // would be silently ignored — reject, like any other unusable flag.
   if (out->buckets != 0 && out->window == 0 &&
       !IsWindowedSummaryName(out->algorithm)) {
-    std::fprintf(stderr,
-                 "--buckets requires --window=W or a windowed:<algo> "
-                 "--algo name\n");
-    return false;
+    return refuse(
+        "--buckets requires --window=W or a windowed:<algo> --algo name");
   }
   // --window asks for sliding-window semantics; wrap a bare algorithm
   // name in the windowed container so `run --algo=count_min
@@ -377,7 +273,7 @@ bool Parse(int argc, char** argv, Args* out) {
   if (out->window != 0 && !IsWindowedSummaryName(out->algorithm)) {
     out->algorithm = std::string(kWindowedPrefix) + out->algorithm;
   }
-  return true;
+  return Status::Ok();
 }
 
 std::vector<uint64_t> ReadStdinItems() {
@@ -783,24 +679,20 @@ int CmdMerge(const Args& a) {
                  "usage: l1hh_cli merge <snapshot>... [--phi=P]\n");
     return 2;
   }
-  Status status;
-  auto merged = LoadSummaryFromFile(a.positional[0], &status);
-  if (merged == nullptr) {
-    std::fprintf(stderr, "merge: cannot load '%s': %s\n",
-                 a.positional[0].c_str(), status.ToString().c_str());
-    return 1;
-  }
-  for (size_t i = 1; i < a.positional.size(); ++i) {
-    auto next = LoadSummaryFromFile(a.positional[i], &status);
+  std::unique_ptr<Summary> merged;
+  for (const std::string& path : a.positional) {
+    Status status;
+    auto next = LoadSummaryFromFile(path, &status);
     if (next == nullptr) {
-      std::fprintf(stderr, "merge: cannot load '%s': %s\n",
-                   a.positional[i].c_str(), status.ToString().c_str());
+      std::fprintf(stderr, "merge: cannot load '%s': %s\n", path.c_str(),
+                   status.ToString().c_str());
       return 1;
     }
-    status = merged->Merge(*next);
-    if (!status.ok()) {
+    if (merged == nullptr) {
+      merged = std::move(next);
+    } else if (status = merged->Merge(*next); !status.ok()) {
       std::fprintf(stderr, "merge: '%s' + '%s': %s\n",
-                   a.positional[0].c_str(), a.positional[i].c_str(),
+                   a.positional[0].c_str(), path.c_str(),
                    status.ToString().c_str());
       return 1;
     }
@@ -1110,7 +1002,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     return Demo();
   }
-  if (!Parse(argc, argv, &args)) {
+  if (const Status parsed = Parse(argc, argv, &args); !parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
     return 2;
   }
   if (args.command == "list") return CmdList();

@@ -2,11 +2,12 @@
 //
 // Connects to a primary's Unix socket, full-syncs once ("replicate"),
 // then tails incremental "sync" rounds every --interval-ms. Every frame
-// is CRC-validated and clock-checked by the snapshot layer before it
-// touches replica state, so a torn or reordered frame is a refused
-// frame, never a silently wrong standby. It serves the shared query
+// is CRC-validated and clock-checked by the snapshot layer, and a round
+// commits as a whole only once its shard set passes the same checks as
+// an engine Restore, so a torn, reordered or foreign frame is a refused
+// round, never a silently wrong standby. It serves the shared query
 // verbs on its own socket and keeps serving after the primary dies,
-// answering from the last completed sync.
+// answering from the last committed round.
 //
 //   l1hh_replica --primary=/tmp/l1hh.sock --socket=/tmp/l1hh-replica.sock
 //       [--interval-ms=200] [--phi=0.05] [--http=PORT] [--ready-lag=65536]
@@ -22,11 +23,8 @@
 // docs/ENGINE.md#the-socket-front-end-toolsl1hh_servecc.
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,12 +35,14 @@
 
 #include <unistd.h>
 
+#include "engine/shard_set.h"
 #include "io/snapshot.h"
 #include "obs/audit.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "serve/flags.h"
 #include "serve/query_verbs.h"
 #include "serve/socket.h"
 #include "summary/summary.h"
@@ -63,112 +63,72 @@ struct ReplicaArgs {
   uint64_t slow_query_us = 10000;
 };
 
-bool Parse(int argc, char** argv, ReplicaArgs* out) {
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    std::string value;
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      std::fprintf(stderr, "flag %s needs a non-empty value\n", key.c_str());
-      return false;
-    }
-    if (key == "--primary") {
-      out->primary_path = value;
-    } else if (key == "--socket") {
-      out->socket_path = value;
-    } else if (key == "--interval-ms") {
-      out->interval_ms = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--phi") {
-      out->default_phi = std::atof(value.c_str());
-    } else if (key == "--http") {
-      out->http_enabled = true;
-      out->http_port = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--ready-lag") {
-      out->ready_lag = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--slow-query-us") {
-      out->slow_query_us = std::strtoull(value.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag: %s\nknown flags: --primary --socket "
-                   "--interval-ms --phi --http --ready-lag --slow-query-us\n",
-                   key.c_str());
-      return false;
-    }
-  }
+Status Parse(int argc, char** argv, ReplicaArgs* out) {
+  serve::FlagSet flags;
+  flags.Add("--primary", &out->primary_path);
+  flags.Add("--socket", &out->socket_path);
+  flags.Add("--interval-ms", &out->interval_ms);
+  flags.Add("--phi", &out->default_phi);
+  flags.Add("--http", &out->http_port, &out->http_enabled);
+  flags.Add("--ready-lag", &out->ready_lag);
+  flags.Add("--slow-query-us", &out->slow_query_us);
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return parsed;
   if (out->primary_path.empty() || out->socket_path.empty()) {
-    std::fprintf(stderr, "--primary=<sock> and --socket=<sock> are required\n");
-    return false;
+    return Status::InvalidArgument(
+        "--primary=<sock> and --socket=<sock> are required");
   }
   if (out->primary_path.size() > serve::kMaxUnixPathBytes) {
-    std::fprintf(stderr, "--primary path too long (max %zu bytes)\n",
-                 serve::kMaxUnixPathBytes);
-    return false;
+    return Status::InvalidArgument(
+        "--primary path too long (max " +
+        std::to_string(serve::kMaxUnixPathBytes) + " bytes)");
   }
   if (out->http_port > 65535) {
-    std::fprintf(stderr, "--http port must be <= 65535\n");
-    return false;
+    return Status::InvalidArgument("--http port must be <= 65535");
   }
-  return true;
+  return Status::Ok();
 }
 
 // ---- Replicated state --------------------------------------------------
 
-struct ReplicaState {
-  std::mutex mutex;
-  // Shard summaries, rebuilt/advanced frame by frame.  Queries merge them
-  // on demand behind the usual epoch cache.
-  std::vector<std::unique_ptr<Summary>> shards;
-  std::string algorithm;
-  uint64_t items = 0;  // primary's applied count at the last completed sync
-  uint64_t syncs = 0;  // completed replicate/sync rounds
-  std::atomic<bool> primary_up{false};
-
-  std::unique_ptr<Summary> merged;
-  uint64_t merged_epoch = ~uint64_t{0};
-
-  // Shadow truth shipped by an auditing primary ("audit" lines in the
-  // sync stream): exact per-key counts for the primary's sampled key
-  // subspace, at the stream position audit_items.  Guarded by `mutex`.
-  bool audit_valid = false;
-  double audit_epsilon = 0.0;
-  double audit_phi = 0.0;
-  uint64_t audit_items = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> audit_shadow;
+// Shadow truth shipped by an auditing primary ("audit" lines in the sync
+// stream): exact per-key counts for the primary's sampled key subspace,
+// at the stream position `items`.
+struct AuditShadow {
+  double epsilon = 0.0;
+  double phi = 0.0;
+  uint64_t items = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> counts;
 };
 
-// Items applied to replica state (sum over shard summaries).  Caller
-// holds state.mutex.
-uint64_t ReplicaAppliedLocked(const ReplicaState& state) {
+struct ReplicaState {
+  std::mutex mutex;
+  // The last committed round: its shard summaries (all null until the
+  // first round commits), their common window rotation count, and the
+  // audit shadow that came with it (empty from a primary that does not
+  // audit). Queries merge the shards behind `view`.
+  std::vector<std::unique_ptr<Summary>> shards;
+  uint64_t rotations = 0;
+  AuditShadow audit;
+  std::string algorithm;
+  uint64_t items = 0;  // primary's applied count at the last committed round
+  uint64_t syncs = 0;  // committed replicate/sync rounds
+  std::atomic<bool> primary_up{false};
+  MergedViewCache view{"l1hh_replica_view"};
+};
+
+// The warm-standby health signal: primary items at the last committed
+// rsync minus the items its shards hold.  A round commits its shards and
+// its item count together, so against an honest primary this reads 0
+// after every commit; the clamp keeps a primary whose rsync undercounts
+// its frames from reporting a bogus negative lag.  Also published as the
+// l1hh_replica_lag_items gauge.  Caller holds state.mutex.
+uint64_t PublishLagLocked(const ReplicaState& state) {
   uint64_t applied = 0;
   for (const auto& shard : state.shards) {
     if (shard != nullptr) applied += shard->ItemsProcessed();
   }
-  return applied;
-}
-
-// The warm-standby health signal: primary items at the last completed
-// rsync minus items applied here.  Frames land BEFORE the rsync that
-// commits their round, so applied can transiently exceed items — clamp
-// at 0 rather than reporting a bogus negative lag.  Caller holds
-// state.mutex.
-uint64_t LagItemsLocked(const ReplicaState& state) {
-  const uint64_t applied = ReplicaAppliedLocked(state);
-  return state.items > applied ? state.items - applied : 0;
-}
-
-// LagItemsLocked, also published as the l1hh_replica_lag_items gauge.
-uint64_t PublishLagLocked(const ReplicaState& state) {
-  const uint64_t lag = LagItemsLocked(state);
+  const uint64_t lag = state.items > applied ? state.items - applied : 0;
   obs::GetGauge("l1hh_replica_lag_items")->Set(static_cast<int64_t>(lag));
   return lag;
 }
@@ -181,69 +141,33 @@ uint64_t PublishLagLocked(const ReplicaState& state) {
 // Caller holds state.mutex.
 bool PublishReadyLocked(const ReplicaState& state, uint64_t ready_lag) {
   const bool ready =
-      state.syncs > 0 && (LagItemsLocked(state) <= ready_lag ||
+      state.syncs > 0 && (PublishLagLocked(state) <= ready_lag ||
                           !state.primary_up.load(std::memory_order_relaxed));
   obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
   return ready;
 }
 
-// The query view: the lone shard itself for K == 1 (supports
-// non-mergeable algorithms), otherwise an on-demand merge of all shards,
-// cached until the next completed sync.  Caller holds state.mutex.
-const Summary* QueryView(ReplicaState& state) {
-  if (state.shards.empty()) return nullptr;
-  // The handshake sizes the shard vector before the first round lands;
-  // until every slot has applied a full frame there is nothing to serve.
-  for (const auto& shard : state.shards) {
-    if (shard == nullptr) return nullptr;
+// The committed round's query view, through the shared merge-epoch
+// cache. Caller holds state.mutex.
+Status ViewLocked(ReplicaState& state, const Summary** view) {
+  if (state.syncs == 0) {
+    return Status::FailedPrecondition("replica has no synced state yet");
   }
-  if (state.shards.size() == 1) return state.shards[0].get();
-  if (state.merged != nullptr && state.merged_epoch == state.syncs) {
-    return state.merged.get();
-  }
-  // Post-sync re-merge: the cost every first query after a sync round
-  // pays.  Exported per ROADMAP — an operator sizing --interval-ms needs
-  // to see it, not infer it from latency spikes.
-  static obs::Histogram* const rebuild_hist =
-      obs::GetHistogram("l1hh_replica_view_rebuild_ns");
-  static obs::FloatGauge* const rebuild_seconds =
-      obs::GetFloatGauge("l1hh_replica_view_rebuild_seconds");
-  static obs::Counter* const rebuild_ctr =
-      obs::GetCounter("l1hh_replica_view_rebuilds_total");
-  obs::ScopedPhase phase("merge_rebuild");
-  const bool obs_on = obs::Enabled();
-  const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
-  Status status;
-  auto merged = MakeSummary(state.shards[0]->Name(),
-                            state.shards[0]->Options(), &status);
-  if (merged == nullptr) return nullptr;
-  for (const auto& shard : state.shards) {
-    if (!merged->Merge(*shard).ok()) return nullptr;
-  }
-  state.merged = std::move(merged);
-  state.merged_epoch = state.syncs;
-  if (obs_on) {
-    const uint64_t elapsed = obs::TraceRing::NowNs() - t0;
-    rebuild_hist->Observe(elapsed);
-    rebuild_seconds->Set(static_cast<double>(elapsed) * 1e-9);
-    rebuild_ctr->Inc();
-  }
-  return state.merged.get();
+  return state.view.View(state.shards, state.items, state.rotations, view);
 }
 
 // Audits the replica's merged view against the primary-shipped exact
 // shadow (nothing to do until an auditing primary has synced). Caller
 // holds state.mutex. This is the failover insurance: a replica whose
 // frames decoded into a wrong view drifts its eps-ratio above 1 while it
-// is still a standby. The shadow is exact at audit_items and the view
-// may trail it (frames land before the rsync that commits the shadow);
-// that residual lag is genuine staleness, so no correction is applied.
+// is still a standby. Shadow and shards commit in the same round, at the
+// same stream position, so the comparison needs no lag correction.
 void AuditReplicaLocked(ReplicaState& state) {
-  if (!state.audit_valid || state.audit_shadow.empty()) return;
-  const Summary* view = QueryView(state);
-  if (view == nullptr) return;
-  obs::AuditShippedShadow(state.audit_shadow, state.audit_epsilon,
-                          state.audit_phi, state.audit_items, *view);
+  if (state.audit.counts.empty()) return;
+  const Summary* view = nullptr;
+  if (!ViewLocked(state, &view).ok()) return;
+  obs::AuditShippedShadow(state.audit.counts, state.audit.epsilon,
+                          state.audit.phi, state.audit.items, *view);
 }
 
 // ---- Replication client (primary-facing) -------------------------------
@@ -259,17 +183,38 @@ std::string_view NextField(std::string_view* rest) {
   return field;
 }
 
-bool ParseFiniteDouble(std::string_view text, double* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end && std::isfinite(*out);
+// Copies a committed shard (SaveSummary -> LoadSummary) so a delta frame
+// can advance the copy while queries keep reading the original.
+std::unique_ptr<Summary> CopyCommittedShard(ReplicaState& state,
+                                            size_t shard, Status* status) {
+  std::vector<uint8_t> bytes;
+  {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    if (state.shards[shard] == nullptr) {
+      *status = Status::FailedPrecondition("delta frame before any full frame");
+      return nullptr;
+    }
+    *status = SaveSummary(*state.shards[shard], &bytes);
+  }
+  return status->ok() ? LoadSummary(bytes, status) : nullptr;
 }
 
-// Reads frames off `reader` until the closing "rsync <items>", applying
-// each to the pending shard set; commits clocks only when the round
-// completes, so a half-received sync never shows up in queries.
+// Reads one round off `reader`, up to its closing "rsync <items>", and
+// commits it as a whole. Frames decode into a staged copy of the shard
+// set: a full frame becomes a new summary, and a delta frame advances a
+// copy of the committed shard. An audit block stages its shadow. At
+// rsync the staged set must pass CheckShardSet against the rconf
+// algorithm; only then do shards, items and shadow swap in under
+// state.mutex. A malformed, refused or torn round returns false and
+// leaves the last committed round serving.
 bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
                     size_t expected_shards) {
+  const auto refuse = [](const std::string& why) {
+    std::fprintf(stderr, "replica: %s\n", why.c_str());
+    return false;
+  };
+  std::vector<std::unique_ptr<Summary>> staged(expected_shards);
+  AuditShadow audit;
   std::string line;
   std::vector<uint8_t> bytes;
   while (reader.ReadLine(&line)) {
@@ -283,9 +228,7 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
           !serve::ParseU64(NextField(&rest), &shard_id) ||
           !serve::ParseU64(rest, &nbytes) || shard_id >= expected_shards ||
           nbytes > serve::kMaxFrameBytes) {
-        std::fprintf(stderr, "replica: malformed frame header '%s'\n",
-                     line.c_str());
-        return false;
+        return refuse("malformed frame header '" + line + "'");
       }
       const size_t shard = static_cast<size_t>(shard_id);
       bytes.resize(static_cast<size_t>(nbytes));
@@ -296,31 +239,20 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
       obs::GetCounter("l1hh_replica_frames_total",
                       full ? "kind=\"full\"" : "kind=\"delta\"")
           ->Inc();
-      std::lock_guard<std::mutex> lock(state.mutex);
+      Status status;
       if (full) {
-        Status status;
-        auto summary = LoadSummary(bytes, &status);
-        if (summary == nullptr) {
-          std::fprintf(stderr, "replica: refused full frame for shard %zu: %s\n",
-                       shard, status.ToString().c_str());
-          return false;
-        }
-        state.shards[shard] = std::move(summary);
+        staged[shard] = LoadSummary(bytes, &status);
       } else {
-        Summary* target = state.shards[shard].get();
-        if (target == nullptr) {
-          std::fprintf(stderr,
-                       "replica: delta frame for shard %zu before any "
-                       "full frame\n",
-                       shard);
-          return false;
+        if (staged[shard] == nullptr) {
+          staged[shard] = CopyCommittedShard(state, shard, &status);
         }
-        const Status applied = ApplySummaryDelta(bytes, target);
-        if (!applied.ok()) {
-          std::fprintf(stderr, "replica: refused delta frame for shard %zu: %s\n",
-                       shard, applied.ToString().c_str());
-          return false;
+        if (staged[shard] != nullptr) {
+          status = ApplySummaryDelta(bytes, staged[shard].get());
         }
+      }
+      if (!status.ok()) {
+        return refuse("refused " + std::string(kind) + " frame for shard " +
+                      std::to_string(shard) + ": " + status.ToString());
       }
       continue;
     }
@@ -328,50 +260,55 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
       // Shadow truth from an auditing primary: header + nkeys pair lines
       // (docs/OBSERVABILITY.md#the-live-accuracy-auditor).
       std::string_view rest = std::string_view(line).substr(6);
-      uint64_t rate = 0, m = 0, nkeys = 0;
-      double eps = 0.0, phi = 0.0;
+      uint64_t rate = 0, nkeys = 0;
       if (!serve::ParseU64(NextField(&rest), &rate) ||
-          !ParseFiniteDouble(NextField(&rest), &eps) ||
-          !ParseFiniteDouble(NextField(&rest), &phi) ||
-          !serve::ParseU64(NextField(&rest), &m) ||
+          !serve::ParseFiniteDouble(NextField(&rest), &audit.epsilon) ||
+          !serve::ParseFiniteDouble(NextField(&rest), &audit.phi) ||
+          !serve::ParseU64(NextField(&rest), &audit.items) ||
           !serve::ParseU64(rest, &nkeys) || nkeys > (1u << 20)) {
-        std::fprintf(stderr, "replica: malformed audit header '%s'\n",
-                     line.c_str());
-        return false;
+        return refuse("malformed audit header '" + line + "'");
       }
-      std::vector<std::pair<uint64_t, uint64_t>> shadow;
-      shadow.reserve(static_cast<size_t>(nkeys));
+      audit.counts.clear();
+      audit.counts.reserve(static_cast<size_t>(nkeys));
       for (uint64_t i = 0; i < nkeys; ++i) {
         uint64_t key = 0, count = 0;
-        if (!reader.ReadLine(&line)) {
-          std::fprintf(stderr, "replica: torn audit shadow\n");
-          return false;
-        }
+        if (!reader.ReadLine(&line)) return refuse("torn audit shadow");
         std::string_view pair = line;
         if (!serve::ParseU64(NextField(&pair), &key) ||
             !serve::ParseU64(pair, &count)) {
-          std::fprintf(stderr, "replica: malformed audit pair '%s'\n",
-                       line.c_str());
-          return false;
+          return refuse("malformed audit pair '" + line + "'");
         }
-        shadow.emplace_back(key, count);
+        audit.counts.emplace_back(key, count);
       }
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.audit_valid = true;
-      state.audit_epsilon = eps;
-      state.audit_phi = phi;
-      state.audit_items = m;
-      state.audit_shadow = std::move(shadow);
       continue;
     }
     if (line.rfind("rsync ", 0) == 0) {
       uint64_t items = 0;
       if (!serve::ParseU64(std::string_view(line).substr(6), &items)) {
-        std::fprintf(stderr, "replica: malformed rsync '%s'\n",
-                     line.c_str());
-        return false;
+        return refuse("malformed rsync '" + line + "'");
       }
       std::lock_guard<std::mutex> lock(state.mutex);
+      // Shards without a frame this round carry over from the committed
+      // set; they go back if the round is refused.
+      std::vector<bool> carried(expected_shards, false);
+      for (size_t s = 0; s < expected_shards; ++s) {
+        if (staged[s] == nullptr) {
+          staged[s].swap(state.shards[s]);
+          carried[s] = true;
+        }
+      }
+      uint64_t rotations = 0;
+      const Status checked =
+          CheckShardSet(staged, state.algorithm, &rotations);
+      if (!checked.ok()) {
+        for (size_t s = 0; s < expected_shards; ++s) {
+          if (carried[s]) state.shards[s].swap(staged[s]);
+        }
+        return refuse("refused sync round: " + checked.ToString());
+      }
+      state.shards.swap(staged);
+      state.rotations = rotations;
+      state.audit = std::move(audit);
       state.items = items;
       ++state.syncs;
       obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
@@ -381,15 +318,13 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
                  static_cast<int64_t>(state.items));
       return true;
     }
-    std::fprintf(stderr, "replica: unexpected line from primary: '%s'\n",
-                 line.c_str());
-    return false;
+    return refuse("unexpected line from primary: '" + line + "'");
   }
   return false;  // primary closed mid-round; nothing was committed
 }
 
 // Connects, full-syncs, then tails incremental syncs until the primary
-// dies or the replica is told to stop.  Leaves the last completed sync
+// dies or the replica is told to stop.  Leaves the last committed round
 // in `state` either way — failover keeps serving it.
 void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
                      const serve::UnixListener& listener) {
@@ -472,21 +407,12 @@ class ReplicaBackend : public serve::QueryBackend {
   explicit ReplicaBackend(ReplicaState* state) : state_(*state) {}
 
   Status HeavyHitters(double phi, std::vector<ItemEstimate>* out) override {
-    std::lock_guard<std::mutex> lock(state_.mutex);
-    const Summary* view = QueryView(state_);
-    if (view == nullptr) return NotSynced();
-    obs::ScopedPhase report_phase("report");
-    *out = view->HeavyHitters(phi);
-    return Status::Ok();
+    return ReadView(
+        [&](const Summary& view) { *out = view.HeavyHitters(phi); });
   }
 
   Status Estimate(uint64_t item, double* out) override {
-    std::lock_guard<std::mutex> lock(state_.mutex);
-    const Summary* view = QueryView(state_);
-    if (view == nullptr) return NotSynced();
-    obs::ScopedPhase report_phase("report");
-    *out = view->Estimate(item);
-    return Status::Ok();
+    return ReadView([&](const Summary& view) { *out = view.Estimate(item); });
   }
 
   std::string StatsLine() override {
@@ -507,8 +433,16 @@ class ReplicaBackend : public serve::QueryBackend {
   }
 
  private:
-  static Status NotSynced() {
-    return Status::FailedPrecondition("replica has no synced state yet");
+  // Runs `read` on the committed round's view (the `report` phase).
+  template <typename Read>
+  Status ReadView(Read&& read) {
+    std::lock_guard<std::mutex> lock(state_.mutex);
+    const Summary* view = nullptr;
+    const Status status = ViewLocked(state_, &view);
+    if (!status.ok()) return status;
+    obs::ScopedPhase report_phase("report");
+    read(*view);
+    return Status::Ok();
   }
 
   ReplicaState& state_;
@@ -551,7 +485,7 @@ int RunReplica(const ReplicaArgs& args) {
       std::snprintf(body, sizeof(body), "%s syncs=%llu lag_items=%llu "
                     "primary=%s\n", ready ? "ok" : "not ready",
                     static_cast<unsigned long long>(state.syncs),
-                    static_cast<unsigned long long>(LagItemsLocked(state)),
+                    static_cast<unsigned long long>(PublishLagLocked(state)),
                     state.primary_up.load(std::memory_order_relaxed)
                         ? "up" : "lost");
       return obs::HttpResponse{ready ? 200 : 503,
@@ -594,6 +528,9 @@ int RunReplica(const ReplicaArgs& args) {
 
 int main(int argc, char** argv) {
   ReplicaArgs args;
-  if (!Parse(argc, argv, &args)) return 2;
+  if (const Status parsed = Parse(argc, argv, &args); !parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   return RunReplica(args);
 }

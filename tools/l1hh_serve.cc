@@ -27,7 +27,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,6 +39,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "serve/flags.h"
 #include "serve/query_verbs.h"
 #include "serve/socket.h"
 #include "summary/summary.h"
@@ -72,102 +72,48 @@ struct ServeArgs {
   uint64_t slow_query_us = 10000;  // 0 = slow-query capture off
 };
 
-const char* const kKnownFlags[] = {
-    "--socket", "--algo",    "--algorithm", "--epsilon", "--phi",
-    "--delta",  "--n",       "--m",         "--seed",    "--shards",
-    "--threads", "--producers", "--window", "--buckets",
-    "--http", "--audit-rate", "--audit-interval-ms", "--slow-query-us",
-};
-
-bool Parse(int argc, char** argv, ServeArgs* out) {
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    std::string value;
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      std::fprintf(stderr, "flag %s needs a non-empty value\n", key.c_str());
-      return false;
-    }
-    if (key == "--socket") {
-      out->socket_path = value;
-    } else if (key == "--algo" || key == "--algorithm") {
-      out->algorithm = value;
-    } else if (key == "--epsilon") {
-      out->epsilon = std::atof(value.c_str());
-    } else if (key == "--phi") {
-      out->phi = std::atof(value.c_str());
-    } else if (key == "--delta") {
-      out->delta = std::atof(value.c_str());
-    } else if (key == "--n") {
-      out->n = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--m") {
-      out->m = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--seed") {
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--shards") {
-      out->shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--threads") {
-      out->threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--producers") {
-      out->producers = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--window") {
-      out->window = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--buckets") {
-      out->buckets = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--http") {
-      out->http_enabled = true;
-      out->http_port = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--audit-rate") {
-      out->audit_rate = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--audit-interval-ms") {
-      out->audit_interval_ms = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "--slow-query-us") {
-      out->slow_query_us = std::strtoull(value.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\nknown flags:", key.c_str());
-      for (const char* known : kKnownFlags) {
-        std::fprintf(stderr, " %s", known);
-      }
-      std::fprintf(stderr, "\n");
-      return false;
-    }
-  }
-  if (out->socket_path.empty()) {
-    std::fprintf(stderr, "--socket=<path> is required\n");
-    return false;
-  }
+Status Parse(int argc, char** argv, ServeArgs* out) {
+  serve::FlagSet flags;
+  flags.Add("--socket", &out->socket_path);
+  flags.Add("--algo", &out->algorithm);
+  flags.Add("--algorithm", &out->algorithm);
+  flags.Add("--epsilon", &out->epsilon);
+  flags.Add("--phi", &out->phi);
+  flags.Add("--delta", &out->delta);
+  flags.Add("--n", &out->n);
+  flags.Add("--m", &out->m);
+  flags.Add("--seed", &out->seed);
+  flags.Add("--shards", &out->shards);
+  flags.Add("--threads", &out->threads);
+  flags.Add("--producers", &out->producers);
+  flags.Add("--window", &out->window);
+  flags.Add("--buckets", &out->buckets);
+  flags.Add("--http", &out->http_port, &out->http_enabled);
+  flags.Add("--audit-rate", &out->audit_rate);
+  flags.Add("--audit-interval-ms", &out->audit_interval_ms);
+  flags.Add("--slow-query-us", &out->slow_query_us);
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return parsed;
+  const auto refuse = [](const char* why) {
+    return Status::InvalidArgument(why);
+  };
+  if (out->socket_path.empty()) return refuse("--socket=<path> is required");
   if (out->epsilon <= 0 || out->phi <= 0 || out->delta <= 0) {
-    std::fprintf(stderr, "--epsilon, --phi, and --delta must be > 0\n");
-    return false;
+    return refuse("--epsilon, --phi, and --delta must be > 0");
   }
   if (out->shards == 0 || out->producers == 0) {
-    std::fprintf(stderr, "--shards and --producers must be >= 1\n");
-    return false;
+    return refuse("--shards and --producers must be >= 1");
   }
-  if (out->http_port > 65535) {
-    std::fprintf(stderr, "--http port must be <= 65535\n");
-    return false;
-  }
+  if (out->http_port > 65535) return refuse("--http port must be <= 65535");
   if (out->audit_rate != 0 && out->window != 0) {
     // The shadow counts the WHOLE stream; a windowed engine forgets, so
     // every comparison would flag phantom over-estimates.
-    std::fprintf(stderr, "--audit-rate cannot be combined with --window\n");
-    return false;
+    return refuse("--audit-rate cannot be combined with --window");
   }
   if (out->window != 0 && !IsWindowedSummaryName(out->algorithm)) {
     out->algorithm = std::string(kWindowedPrefix) + out->algorithm;
   }
-  return true;
+  return Status::Ok();
 }
 
 // Answers queries from the live engine.
@@ -515,6 +461,9 @@ int Serve(const ServeArgs& args) {
 
 int main(int argc, char** argv) {
   ServeArgs args;
-  if (!Parse(argc, argv, &args)) return 2;
+  if (const Status parsed = Parse(argc, argv, &args); !parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   return Serve(args);
 }
