@@ -193,7 +193,7 @@ double BdwOptimal::EstimateRep(ItemId item, size_t rep) const {
 std::vector<HeavyHitter> BdwOptimal::Report() const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
-  const double scale = static_cast<double>(opt_.stream_length) /
+  const double scale = static_cast<double>(position_) /
                        static_cast<double>(sampled_);
   const double threshold = (opt_.phi - opt_.epsilon / 2.0) *
                            static_cast<double>(sampled_);
@@ -209,7 +209,7 @@ std::vector<HeavyHitter> BdwOptimal::Report() const {
       hh.item = entry.item;
       hh.estimated_count = med * scale;
       hh.estimated_fraction =
-          hh.estimated_count / static_cast<double>(opt_.stream_length);
+          hh.estimated_count / static_cast<double>(position_);
       out.push_back(hh);
     }
   }
@@ -223,7 +223,7 @@ std::vector<HeavyHitter> BdwOptimal::Report() const {
 std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
-  const double scale = static_cast<double>(opt_.stream_length) /
+  const double scale = static_cast<double>(position_) /
                        static_cast<double>(sampled_);
   std::vector<double> reps(reps_);
   for (const auto& entry : t1_.Entries()) {
@@ -235,7 +235,7 @@ std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
     hh.item = entry.item;
     hh.estimated_count = reps[reps_ / 2] * scale;
     hh.estimated_fraction =
-        hh.estimated_count / static_cast<double>(opt_.stream_length);
+        hh.estimated_count / static_cast<double>(position_);
     out.push_back(hh);
   }
   std::sort(out.begin(), out.end(),
@@ -251,7 +251,7 @@ double BdwOptimal::EstimateCount(ItemId item) const {
   std::vector<double> reps(reps_);
   for (size_t j = 0; j < reps_; ++j) reps[j] = EstimateRep(item, j);
   std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
-  const double scale = static_cast<double>(opt_.stream_length) /
+  const double scale = static_cast<double>(position_) /
                        static_cast<double>(sampled_);
   return reps[reps_ / 2] * scale;
 }
@@ -391,7 +391,7 @@ BdwOptimal BdwOptimal::DeserializeImpl(BitReader& in, uint64_t seed,
   out.t2_coin_.Deserialize(in);
   out.t3_coin_.Deserialize(in);
   for (auto& h : out.hashes_) h = UniversalHash::Deserialize(in);
-  out.t1_ = MisraGries::Deserialize(in);
+  out.t1_ = MisraGries::Deserialize(in, out.t1_.k());
   if (sparse_grids) {
     // Expected grid shapes come from the (sanitized) wire options the
     // constructor just sized `out` by — the sparse encoding's size field

@@ -16,6 +16,11 @@ uint64_t ExpectedSamples(const BdwSimple::Options& opt) {
   return std::max<uint64_t>(16, static_cast<uint64_t>(std::ceil(l)));
 }
 
+size_t TableCounters(const BdwSimple::Options& opt) {
+  return static_cast<size_t>(std::ceil(opt.constants.hh_mg_factor /
+                                       opt.epsilon));
+}
+
 }  // namespace
 
 HashedMisraGries BdwSimple::MakeTable(const Options& opt, uint64_t seed) {
@@ -28,8 +33,7 @@ HashedMisraGries BdwSimple::MakeTable(const Options& opt, uint64_t seed) {
                          opt.delta;
   const uint64_t range =
       static_cast<uint64_t>(std::min(range_d, 9.0e18));
-  const auto counters = static_cast<size_t>(
-      std::ceil(opt.constants.hh_mg_factor / opt.epsilon));
+  const size_t counters = TableCounters(opt);
   const auto top = static_cast<size_t>(
       std::ceil(opt.constants.hh_top_factor / opt.phi));
   return HashedMisraGries(counters, top,
@@ -61,7 +65,7 @@ void BdwSimple::Insert(ItemId item) {
 std::vector<HeavyHitter> BdwSimple::Report() const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
-  const double scale = static_cast<double>(opt_.stream_length) /
+  const double scale = static_cast<double>(position_) /
                        static_cast<double>(sampled_);
   const double threshold = (opt_.phi - opt_.epsilon / 2.0) *
                            static_cast<double>(sampled_);
@@ -71,7 +75,7 @@ std::vector<HeavyHitter> BdwSimple::Report() const {
       hh.item = entry.item;
       hh.estimated_count = static_cast<double>(entry.count) * scale;
       hh.estimated_fraction =
-          hh.estimated_count / static_cast<double>(opt_.stream_length);
+          hh.estimated_count / static_cast<double>(position_);
       out.push_back(hh);
     }
   }
@@ -81,7 +85,7 @@ std::vector<HeavyHitter> BdwSimple::Report() const {
 std::vector<HeavyHitter> BdwSimple::TopK(size_t k) const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
-  const double scale = static_cast<double>(opt_.stream_length) /
+  const double scale = static_cast<double>(position_) /
                        static_cast<double>(sampled_);
   for (const auto& entry : table_.TopEntries()) {
     if (out.size() >= k) break;
@@ -89,7 +93,7 @@ std::vector<HeavyHitter> BdwSimple::TopK(size_t k) const {
     hh.item = entry.item;
     hh.estimated_count = static_cast<double>(entry.count) * scale;
     hh.estimated_fraction =
-        hh.estimated_count / static_cast<double>(opt_.stream_length);
+        hh.estimated_count / static_cast<double>(position_);
     out.push_back(hh);
   }
   return out;
@@ -97,7 +101,7 @@ std::vector<HeavyHitter> BdwSimple::TopK(size_t k) const {
 
 double BdwSimple::EstimateCount(ItemId item) const {
   if (sampled_ == 0) return 0;
-  const double scale = static_cast<double>(opt_.stream_length) /
+  const double scale = static_cast<double>(position_) /
                        static_cast<double>(sampled_);
   return static_cast<double>(table_.EstimateByHash(item)) * scale;
 }
@@ -141,7 +145,8 @@ BdwSimple BdwSimple::Deserialize(BitReader& in, uint64_t seed) {
   const uint64_t sampled = in.ReadCounter();
   GeometricSkipSampler sampler;
   sampler.Deserialize(in);
-  HashedMisraGries table = HashedMisraGries::Deserialize(in);
+  HashedMisraGries table =
+      HashedMisraGries::Deserialize(in, TableCounters(opt));
   BdwSimple out(opt, seed, std::move(table));
   out.position_ = position;
   out.sampled_ = sampled;

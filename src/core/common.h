@@ -28,9 +28,10 @@ using ItemId = uint64_t;
 /// One reported heavy hitter.
 struct HeavyHitter {
   ItemId item = 0;
-  /// Estimated count over the *full* stream (sampled counts rescaled).
+  /// Estimated count over the stream so far (sampled counts rescaled by
+  /// items processed / items sampled).
   double estimated_count = 0;
-  /// estimated_count / m.
+  /// estimated_count / items processed.
   double estimated_fraction = 0;
 };
 

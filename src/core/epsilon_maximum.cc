@@ -16,6 +16,14 @@ uint64_t ExpectedSamples(const EpsilonMaximum::Options& opt) {
   return std::max<uint64_t>(16, static_cast<uint64_t>(std::ceil(l)));
 }
 
+// Table length min(c/eps, n): a universe smaller than the table is
+// tracked exactly (the min{1/eps, n} term of Theorem 3).
+size_t TableCounters(const EpsilonMaximum::Options& opt) {
+  const double c_over_eps = opt.constants.hh_mg_factor / opt.epsilon;
+  return static_cast<size_t>(std::ceil(std::min(
+      c_over_eps, static_cast<double>(opt.universe_size) + 1.0)));
+}
+
 HashedMisraGries MakeTable(const EpsilonMaximum::Options& opt,
                            uint64_t seed) {
   Rng hash_rng(Mix64(seed) ^ 0x7f4a7c159e3779b9ULL);
@@ -24,12 +32,7 @@ HashedMisraGries MakeTable(const EpsilonMaximum::Options& opt,
                          static_cast<double>(l) * static_cast<double>(l) /
                          opt.delta;
   const uint64_t range = static_cast<uint64_t>(std::min(range_d, 9.0e18));
-  // Table length min(c/eps, n): a universe smaller than the table is
-  // tracked exactly (the min{1/eps, n} term of Theorem 3).
-  const double c_over_eps = opt.constants.hh_mg_factor / opt.epsilon;
-  const size_t counters = static_cast<size_t>(std::ceil(std::min(
-      c_over_eps, static_cast<double>(opt.universe_size) + 1.0)));
-  return HashedMisraGries(counters, /*top_ids=*/0,
+  return HashedMisraGries(TableCounters(opt), /*top_ids=*/0,
                           UniversalHash::Draw(hash_rng,
                                               std::max<uint64_t>(range, 2)),
                           UniverseBits(opt.universe_size));
@@ -109,7 +112,8 @@ EpsilonMaximum EpsilonMaximum::Deserialize(BitReader& in, uint64_t seed) {
   const ItemId max_item = in.ReadU64();
   GeometricSkipSampler sampler;
   sampler.Deserialize(in);
-  HashedMisraGries table = HashedMisraGries::Deserialize(in);
+  HashedMisraGries table =
+      HashedMisraGries::Deserialize(in, TableCounters(opt));
   EpsilonMaximum out(opt, seed, std::move(table));
   out.position_ = position;
   out.sampled_ = sampled;

@@ -15,15 +15,16 @@
 namespace l1hh {
 namespace {
 
-// Both algorithms assume the stream length m is known up front (Theorems
-// 1-2); the factory caller must set SummaryOptions::stream_length.  The
-// adapters report in full-stream units, like the underlying Report().
+// Both algorithms size their sampling rate from the stream length m
+// (Theorems 1-2); the factory caller must set SummaryOptions::stream_length.
+// Answers are in units of the items processed so far, like the underlying
+// Report(), whether or not that count has reached m.
 
 std::vector<ItemEstimate> FilterTopK(const std::vector<HeavyHitter>& top,
                                      double phi, double epsilon,
-                                     uint64_t stream_length) {
+                                     uint64_t items_processed) {
   const double threshold =
-      (phi - epsilon / 2.0) * static_cast<double>(stream_length);
+      (phi - epsilon / 2.0) * static_cast<double>(items_processed);
   std::vector<ItemEstimate> out;
   for (const auto& hh : top) {
     if (hh.estimated_count >= threshold) {
@@ -59,8 +60,7 @@ class BdwSimpleSummary : public Summary {
 
   std::vector<ItemEstimate> HeavyHitters(double phi) const override {
     return FilterTopK(impl_.TopK(static_cast<size_t>(-1)), phi,
-                      impl_.options().epsilon,
-                      impl_.options().stream_length);
+                      impl_.options().epsilon, impl_.items_processed());
   }
 
   uint64_t ItemsProcessed() const override {
@@ -149,8 +149,7 @@ class BdwOptimalSummary : public Summary {
 
   std::vector<ItemEstimate> HeavyHitters(double phi) const override {
     return FilterTopK(impl_.TopK(static_cast<size_t>(-1)), phi,
-                      impl_.options().epsilon,
-                      impl_.options().stream_length);
+                      impl_.options().epsilon, impl_.items_processed());
   }
 
   uint64_t ItemsProcessed() const override {

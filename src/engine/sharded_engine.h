@@ -251,12 +251,10 @@ class ShardedEngine {
   /// enqueueing, their new items are simply not waited for.
   void Flush();
 
-  /// Point query against the merged view.  (Routing to the owning shard
-  /// alone would be wrong for the sampling-based structures: a shard
-  /// rescales its sample by the configured full-stream length, so its
-  /// local estimate is inflated by ~K; the merged summary renormalizes
-  /// over the combined sample.)  Flushes; safe from any thread, even
-  /// with live producers (snapshot isolation — see contract above).
+  /// Point query against the merged view — the view every query reads,
+  /// so an estimate agrees with HeavyHitters over the same snapshot.
+  /// Flushes; safe from any thread, even with live producers (snapshot
+  /// isolation — see contract above).
   double Estimate(uint64_t item);
 
   /// Point queries for a whole key list under ONE flush/park/rebuild

@@ -5,120 +5,162 @@
 namespace l1hh {
 
 CounterGroups::CounterGroups(size_t capacity) : capacity_(capacity) {
-  entries_.reserve(capacity);
-  index_.reserve(capacity * 2);
+  // Index: a power of two >= 8k cells.  Any load below 1 lets a probe
+  // always meet an empty cell, so the table never grows; at most 1/8 keeps
+  // nearly every probe and backward shift to one cell, which makes their
+  // loops predictable (measured in docs/ALGORITHMS.md, "Counter groups").
+  int bits = 1;
+  while ((size_t{1} << bits) < 8 * capacity_) ++bits;
+  shift_ = 64 - bits;
+  mask_ = (size_t{1} << bits) - 1;
+  Reset(0);
 }
 
-int CounterGroups::Find(uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return -1;
-  const int e = it->second;
-  if (IsZombieGroup(entries_[e].group)) {
-    // Garbage-collect the zombie on contact; the caller sees "absent".
-    UnlinkEntryFromGroup(e);
-    index_.erase(it);
-    free_entries_.push_back(e);
-    return -1;
+void CounterGroups::Reset(uint64_t offset) {
+  offset_ = offset;
+  first_live_ = static_cast<uint32_t>(capacity_);
+  // Every slot starts as a never-used zombie in run 0 (count 0 <= offset).
+  // Run records: at most k runs are non-empty, plus the one HandOver
+  // opens before it retires the run it empties.
+  slots_.assign(capacity_, Slot{0, kNone});
+  runs_.assign(capacity_ + 1, Run{0, 0, static_cast<uint32_t>(capacity_)});
+  free_runs_.clear();
+  for (size_t r = capacity_; r >= 1; --r) {
+    free_runs_.push_back(static_cast<uint32_t>(r));
   }
-  return e;
+  if (capacity_ == 0) free_runs_.push_back(0);
+  cells_.assign(mask_ + 1, Cell{0, kNone});
 }
 
-uint64_t CounterGroups::Count(uint64_t key) const {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return 0;
-  const int g = entries_[it->second].group;
-  if (IsZombieGroup(g)) return 0;
-  return groups_[g].count - offset_;
+size_t CounterGroups::Probe(uint64_t key) const {
+  size_t i = Home(key);
+  while (cells_[i].slot != kNone && cells_[i].key != key) {
+    i = (i + 1) & mask_;
+  }
+  return i;
 }
 
-void CounterGroups::Increment(int entry) { PromoteEntry(entry); }
+size_t CounterGroups::EraseCell(size_t cell) {
+  size_t hole = cell;
+  for (size_t j = (hole + 1) & mask_; cells_[j].slot != kNone;
+       j = (j + 1) & mask_) {
+    // The entry at j may fill the hole iff the hole lies cyclically in
+    // [home, j), i.e. moving it back keeps it reachable from its home.
+    const size_t home = Home(cells_[j].key);
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      cells_[hole] = cells_[j];
+      slots_[cells_[hole].slot].cell = static_cast<uint32_t>(hole);
+      hole = j;
+    }
+  }
+  cells_[hole].slot = kNone;
+  return hole;
+}
+
+void CounterGroups::SwapSlots(uint32_t a, uint32_t b) {
+  std::swap(slots_[a].cell, slots_[b].cell);
+  if (slots_[a].cell != kNone) cells_[slots_[a].cell].slot = a;
+  if (slots_[b].cell != kNone) cells_[slots_[b].cell].slot = b;
+}
+
+void CounterGroups::HandOver(uint32_t s, uint64_t count) {
+  const uint32_t from = slots_[s].run;
+  const uint32_t next = s + 1;
+  if (next < capacity_ && RunOf(next).count == count) {
+    const uint32_t to = slots_[next].run;
+    runs_[to].start = s;
+    slots_[s].run = to;
+  } else {
+    const uint32_t to = free_runs_.back();
+    free_runs_.pop_back();
+    runs_[to] = Run{count, s, next};
+    slots_[s].run = to;
+  }
+  if (--runs_[from].end == runs_[from].start) free_runs_.push_back(from);
+}
 
 int CounterGroups::InsertNew(uint64_t key) {
-  const int e = AllocEntrySlot();
-  entries_[e].key = key;
-  index_[key] = e;
-  // Effective count 1 == absolute offset_ + 1.  The only possible group
-  // before it is the (single) zombie group at the head.
-  int after = -1;
-  if (IsZombieGroup(head_group_)) after = head_group_;
-  const int next = after < 0 ? head_group_ : groups_[after].next;
-  int g;
-  if (next >= 0 && groups_[next].count == offset_ + 1) {
-    g = next;
+  const uint32_t b = first_live_ - 1;  // the last zombie slot
+  size_t c = Probe(key);
+  if (cells_[c].slot != kNone) {
+    SwapSlots(cells_[c].slot, b);  // the key's own zombie takes the slot
   } else {
-    g = InsertGroupAfter(after, offset_ + 1);
+    if (slots_[b].cell != kNone) {
+      // Retire the zombie's key.  If that opens a hole on the key's probe
+      // path, the key belongs in the hole instead.
+      const size_t hole = EraseCell(slots_[b].cell);
+      const size_t home = Home(key);
+      if (((hole - home) & mask_) < ((c - home) & mask_)) c = hole;
+    }
+    cells_[c] = Cell{key, b};
+    slots_[b].cell = static_cast<uint32_t>(c);
   }
-  LinkEntryToGroup(e, g);
-  ++live_;
-  return e;
-}
-
-int CounterGroups::InsertWithCount(uint64_t key, uint64_t count) {
-  const int e = AllocEntrySlot();
-  entries_[e].key = key;
-  index_[key] = e;
-  const uint64_t absolute = offset_ + count;
-  // Walk the (sorted) group list for the insertion point.
-  int after = -1;
-  int g = head_group_;
-  while (g >= 0 && groups_[g].count < absolute) {
-    after = g;
-    g = groups_[g].next;
-  }
-  int dest;
-  if (g >= 0 && groups_[g].count == absolute) {
-    dest = g;
-  } else {
-    dest = InsertGroupAfter(after, absolute);
-  }
-  LinkEntryToGroup(e, dest);
-  ++live_;
-  return e;
-}
-
-void CounterGroups::DecrementAll() {
-  ++offset_;
-  if (IsZombieGroup(head_group_)) {
-    live_ -= static_cast<size_t>(groups_[head_group_].size);
-  }
+  HandOver(b, offset_ + 1);
+  first_live_ = b;
+  return static_cast<int>(c);
 }
 
 uint64_t CounterGroups::ReplaceMin(uint64_t key) {
-  int g = head_group_;
-  if (IsZombieGroup(g)) g = groups_[g].next;
-  const int e = groups_[g].head;
-  const uint64_t old_count = groups_[g].count - offset_;
-  index_.erase(entries_[e].key);
-  entries_[e].key = key;
-  index_[key] = e;
-  PromoteEntry(e);
+  if (first_live_ == capacity_) return 0;  // k == 0: nothing to replace
+  const uint32_t p = first_live_;
+  const uint64_t old_count = RunOf(p).count - offset_;
+  EraseCell(slots_[p].cell);
+  const size_t c = Probe(key);
+  cells_[c] = Cell{key, p};
+  slots_[p].cell = static_cast<uint32_t>(c);
+  Increment(static_cast<int>(c));
   return old_count;
 }
 
-uint64_t CounterGroups::MinCount() const {
-  int g = head_group_;
-  if (IsZombieGroup(g)) g = groups_[g].next;
-  if (g < 0) return 0;
-  return groups_[g].count - offset_;
-}
-
-uint64_t CounterGroups::MaxCount() const {
-  int g = head_group_;
-  if (g < 0) return 0;
-  while (groups_[g].next >= 0) g = groups_[g].next;
-  if (IsZombieGroup(g)) return 0;
-  return groups_[g].count - offset_;
-}
-
-void CounterGroups::ForEach(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  for (int g = head_group_; g >= 0; g = groups_[g].next) {
-    if (IsZombieGroup(g)) continue;
-    const uint64_t count = groups_[g].count - offset_;
-    for (int e = groups_[g].head; e >= 0; e = entries_[e].next) {
-      fn(entries_[e].key, count);
+bool CounterGroups::Assign(uint64_t offset,
+                           const std::vector<Counter>& ascending) {
+  Reset(offset);
+  const size_t n = std::min(ascending.size(), capacity_);
+  const auto first = static_cast<uint32_t>(capacity_ - n);
+  runs_[0].end = first;
+  if (first == 0) free_runs_.push_back(0);
+  uint32_t run = kNone;
+  for (size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<uint32_t>(first + i);
+    const uint64_t count = offset + ascending[i].count;
+    if (run == kNone || runs_[run].count != count) {
+      run = free_runs_.back();
+      free_runs_.pop_back();
+      runs_[run] = Run{count, s, s};
     }
+    ++runs_[run].end;
+    const size_t c = Probe(ascending[i].key);
+    if (cells_[c].slot != kNone) {
+      Reset(offset);
+      return false;
+    }
+    cells_[c] = Cell{ascending[i].key, s};
+    slots_[s] = Slot{run, static_cast<uint32_t>(c)};
   }
+  first_live_ = first;
+  return true;
+}
+
+std::vector<CounterGroups::Counter> CounterGroups::Combine(
+    const CounterGroups& a, uint64_t a_only_bonus, const CounterGroups& b,
+    uint64_t b_only_bonus) {
+  std::vector<Counter> out;
+  out.reserve(a.live_size() + b.live_size());
+  // a's entries land at index (slot - a.first_live_), so a key of b found
+  // in a's index adds to its entry directly, taking back the a-only bonus
+  // (unsigned wrap-around makes the sum exact).
+  a.ForEach([&](uint64_t key, uint64_t count) {
+    out.push_back({key, count + a_only_bonus});
+  });
+  b.ForEach([&](uint64_t key, uint64_t count) {
+    const int e = a.Find(key);
+    if (e < 0) {
+      out.push_back({key, count + b_only_bonus});
+    } else {
+      out[a.cells_[e].slot - a.first_live_].count += count - a_only_bonus;
+    }
+  });
+  return out;
 }
 
 size_t CounterGroups::SpaceBits(int key_bits) const {
@@ -137,147 +179,60 @@ size_t CounterGroups::SpaceBits(int key_bits) const {
 void CounterGroups::Serialize(BitWriter& out) const {
   out.WriteGamma(capacity_ + 1);
   out.WriteCounter(offset_);
-  out.WriteGamma(live_ + 1);
-  // Canonical order (count asc, key asc): serializing a deserialized
-  // structure reproduces the identical bit string, so messages can be
-  // compared and deduplicated byte-wise.
-  std::vector<std::pair<uint64_t, uint64_t>> entries;  // (count, key)
-  entries.reserve(live_);
-  ForEach([&](uint64_t key, uint64_t count) {
-    entries.emplace_back(count, key);
-  });
-  std::sort(entries.begin(), entries.end());
-  for (const auto& [count, key] : entries) {
-    out.WriteU64(key);
-    out.WriteGamma(count);
+  out.WriteGamma(live_size() + 1);
+  // Slots are already in count order; only each run's keys need sorting.
+  std::vector<uint64_t> keys;
+  for (size_t s = first_live_; s < capacity_;) {
+    const Run& run = RunOf(s);
+    keys.clear();
+    for (; s < run.end; ++s) keys.push_back(cells_[slots_[s].cell].key);
+    std::sort(keys.begin(), keys.end());
+    for (const uint64_t key : keys) {
+      out.WriteU64(key);
+      out.WriteGamma(run.count - offset_);
+    }
   }
 }
 
 void CounterGroups::Deserialize(BitReader& in) {
   // The capacity field declares the structure's k, not elements present
   // in the stream — an empty or sparse structure legitimately declares a
-  // capacity far beyond its remaining bits (the caller validates it
-  // against the expected shape).  The bit-plausibility clamp therefore
-  // applies to the entry count (each entry is >= 65 wire bits), and the
-  // eager reserve is bounded by it, keeping a hostile capacity away from
-  // the allocator without rejecting honest sparse states.
+  // capacity far beyond its remaining bits — so it is checked against the
+  // caller's k rather than trusted for an allocation.  The bit-plausibility
+  // clamp applies to the entry count instead (each entry is >= 65 wire
+  // bits).
   const uint64_t capacity = in.ReadGamma() - 1;
   const uint64_t offset = in.ReadCounter();
-  // A corrupted entry count beyond the capacity would dereference a
-  // nonexistent zombie group in InsertNew; clamp it.
+  if (capacity != capacity_) {
+    (void)in.CheckedCount(~uint64_t{0});  // force overflow status
+    Reset(0);
+    return;
+  }
   const size_t n = static_cast<size_t>(
       std::min<uint64_t>(in.CheckedCount(in.ReadGamma() - 1), capacity));
-  *this = CounterGroups(n);
-  capacity_ = static_cast<size_t>(capacity);
-  offset_ = offset;
-  // Reinsert then lift each entry to its serialized count.  Rebuild cost is
-  // O(sum of counts) in group moves; acceptable for deserialization.
-  const uint64_t saved_offset = offset_;
-  offset_ = 0;
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<Counter> entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n && !in.overflow(); ++i) {
     const uint64_t key = in.ReadU64();
     const uint64_t count = in.ReadGamma();
-    InsertWithCount(key, count);
+    if (count > ~uint64_t{0} - offset) {
+      (void)in.CheckedCount(~uint64_t{0});
+      break;
+    }
+    entries.push_back({key, count});
   }
-  // Restore the offset by shifting every group up, keeping effective counts.
-  for (int g = head_group_; g >= 0; g = groups_[g].next) {
-    groups_[g].count += saved_offset;
+  if (in.overflow()) {
+    Reset(0);
+    return;
   }
-  offset_ = saved_offset;
-}
-
-int CounterGroups::AllocGroup(uint64_t count) {
-  int g;
-  if (!free_groups_.empty()) {
-    g = free_groups_.back();
-    free_groups_.pop_back();
-    groups_[g] = Group();
-  } else {
-    g = static_cast<int>(groups_.size());
-    groups_.emplace_back();
+  // Canonical streams arrive sorted, keeping the rebuild O(k).
+  const auto by_count = [](const Counter& x, const Counter& y) {
+    return x.count < y.count;
+  };
+  if (!std::is_sorted(entries.begin(), entries.end(), by_count)) {
+    std::stable_sort(entries.begin(), entries.end(), by_count);
   }
-  groups_[g].count = count;
-  return g;
-}
-
-void CounterGroups::FreeGroup(int g) {
-  const int prev = groups_[g].prev;
-  const int next = groups_[g].next;
-  if (prev >= 0) groups_[prev].next = next;
-  if (next >= 0) groups_[next].prev = prev;
-  if (head_group_ == g) head_group_ = next;
-  free_groups_.push_back(g);
-}
-
-int CounterGroups::AllocEntrySlot() {
-  if (!free_entries_.empty()) {
-    const int e = free_entries_.back();
-    free_entries_.pop_back();
-    return e;
-  }
-  if (entries_.size() < capacity_) {
-    entries_.emplace_back();
-    return static_cast<int>(entries_.size()) - 1;
-  }
-  // Cannibalize one zombie (head group must be zombie: the caller only
-  // inserts when live_ < capacity_, so a slot deficit implies zombies).
-  const int g = head_group_;
-  const int e = groups_[g].head;
-  index_.erase(entries_[e].key);
-  UnlinkEntryFromGroup(e);
-  return e;
-}
-
-void CounterGroups::UnlinkEntryFromGroup(int e) {
-  const int g = entries_[e].group;
-  const int prev = entries_[e].prev;
-  const int next = entries_[e].next;
-  if (prev >= 0) entries_[prev].next = next;
-  if (next >= 0) entries_[next].prev = prev;
-  if (groups_[g].head == e) groups_[g].head = next;
-  if (--groups_[g].size == 0) FreeGroup(g);
-  entries_[e].group = -1;
-  entries_[e].prev = -1;
-  entries_[e].next = -1;
-}
-
-void CounterGroups::LinkEntryToGroup(int e, int g) {
-  entries_[e].group = g;
-  entries_[e].prev = -1;
-  entries_[e].next = groups_[g].head;
-  if (groups_[g].head >= 0) entries_[groups_[g].head].prev = e;
-  groups_[g].head = e;
-  ++groups_[g].size;
-}
-
-void CounterGroups::PromoteEntry(int e) {
-  const int g = entries_[e].group;
-  const uint64_t target = groups_[g].count + 1;
-  const int next = groups_[g].next;
-  int dest;
-  if (next >= 0 && groups_[next].count == target) {
-    dest = next;
-  } else {
-    dest = InsertGroupAfter(g, target);
-  }
-  UnlinkEntryFromGroup(e);  // may free g (and fix links), dest stays valid
-  LinkEntryToGroup(e, dest);
-}
-
-int CounterGroups::InsertGroupAfter(int after, uint64_t count) {
-  const int g = AllocGroup(count);
-  if (after < 0) {
-    groups_[g].next = head_group_;
-    if (head_group_ >= 0) groups_[head_group_].prev = g;
-    head_group_ = g;
-  } else {
-    const int next = groups_[after].next;
-    groups_[g].prev = after;
-    groups_[g].next = next;
-    groups_[after].next = g;
-    if (next >= 0) groups_[next].prev = g;
-  }
-  return g;
+  if (!Assign(offset, entries)) (void)in.CheckedCount(~uint64_t{0});
 }
 
 }  // namespace l1hh

@@ -1,20 +1,23 @@
 // Differential counter groups: the [DLOM02] structure behind O(1)
-// worst-case Misra–Gries and Space-Saving updates.
+// worst-case Misra–Gries and Space-Saving updates, laid out flat.
 //
-// Entries with equal count live in one doubly-linked group; groups are
-// linked in strictly increasing count order.  "Decrement all counters"
-// (the Misra–Gries eviction step) is a single offset bump: effective counts
-// are (group count - offset), and the at-most-one group that reaches zero
-// becomes a pool of reusable ("zombie") slots consumed one per insertion —
-// this is what makes the update cost O(1) worst case, not just amortized,
-// exactly as the paper claims for its algorithms (Section 3.1 and the
-// reference to Section 3.3 of [DLOM02] in the proof of Theorem 4).
+// The k slots form one array sorted by absolute count, as contiguous runs
+// of equal count; a run table holds each run's (count, start, end) and
+// every slot records its run.  Effective counts are (absolute - offset),
+// so the Misra–Gries "decrement all counters" step is one offset bump, and
+// the slots whose count has fallen to the offset ("zombies") are always a
+// prefix of the array, consumed one per insertion.  An increment swaps its
+// slot to the end of its run — the boundary with the next run — and hands
+// it over, so every update touches O(1) slots and runs worst case, as the
+// paper claims for its algorithms (Section 3.1 and the reference to
+// Section 3.3 of [DLOM02] in the proof of Theorem 4).  Keys are found
+// through a fixed-capacity open-addressing index: a power of two >= 8k
+// cells, linear probing, backward-shift deletion (no tombstones), never
+// rehashed.  See docs/ALGORITHMS.md, "Counter groups".
 #ifndef L1HH_SUMMARY_COUNTER_GROUPS_H_
 #define L1HH_SUMMARY_COUNTER_GROUPS_H_
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "util/bit_stream.h"
@@ -24,104 +27,167 @@ namespace l1hh {
 
 class CounterGroups {
  public:
+  /// A key with its effective count: the unit of merges and rebuilds.
+  struct Counter {
+    uint64_t key;
+    uint64_t count;
+    /// Canonical order: count ascending, then key ascending.
+    friend bool operator<(const Counter& x, const Counter& y) {
+      return x.count < y.count || (x.count == y.count && x.key < y.key);
+    }
+  };
+
+  /// `capacity` < 2^32 - 1.
   explicit CounterGroups(size_t capacity);
 
   size_t capacity() const { return capacity_; }
   /// Number of entries with effective count >= 1.
-  size_t live_size() const { return live_; }
-  bool Full() const { return live_ >= capacity_; }
+  size_t live_size() const { return capacity_ - first_live_; }
+  bool Full() const { return first_live_ == 0; }
 
-  /// Returns the entry handle for `key` or -1.  Zombie entries (effective
-  /// count 0) report -1 and are garbage-collected on contact.
-  int Find(uint64_t key);
-
-  /// Effective count of a live entry handle.
-  uint64_t CountOf(int entry) const {
-    return groups_[entries_[entry].group].count - offset_;
+  /// Returns the handle of `key`'s live entry, or -1 when it is absent or
+  /// a zombie.  A handle stays valid until the next InsertNew, ReplaceMin,
+  /// Assign or Deserialize.
+  int Find(uint64_t key) const {
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      const Cell& cell = cells_[i];
+      if (cell.slot == kNone) return -1;
+      if (cell.key == key) {
+        return RunOf(cell.slot).count > offset_ ? static_cast<int>(i) : -1;
+      }
+    }
   }
 
-  /// Effective count of `key` (0 if absent or zombie).  Const lookup.
-  uint64_t Count(uint64_t key) const;
+  /// Effective count of `key` (0 if absent or zombie).
+  uint64_t Count(uint64_t key) const {
+    const int e = Find(key);
+    return e < 0 ? 0 : RunOf(cells_[e].slot).count - offset_;
+  }
 
   /// entry must be live; adds one to its count.  O(1).
-  void Increment(int entry);
+  void Increment(int entry) {
+    const uint32_t s = cells_[entry].slot;
+    const Run& run = RunOf(s);
+    const uint32_t last = run.end - 1;
+    if (s != last) SwapSlots(s, last);
+    HandOver(last, run.count + 1);
+  }
 
-  /// Inserts `key` with effective count 1.  Requires !Full().  O(1): takes a
-  /// slot from the free list or cannibalizes one zombie.
-  /// Returns the new entry handle.
+  /// Inserts `key` (absent or a zombie) with effective count 1.  Requires
+  /// !Full().  O(1): reuses the last zombie slot.  Returns the new handle.
   int InsertNew(uint64_t key);
 
-  /// Inserts `key` with an arbitrary effective count >= 1.  Requires
-  /// !Full().  O(#groups) — used by merge operations, not the hot path.
-  int InsertWithCount(uint64_t key, uint64_t count);
+  /// Misra–Gries step: subtract one from every counter.  O(1).
+  void DecrementAll() {
+    ++offset_;
+    if (first_live_ < capacity_) {
+      const Run& lowest = RunOf(first_live_);
+      if (lowest.count <= offset_) first_live_ = lowest.end;
+    }
+  }
 
-  /// Misra–Gries step: subtract one from every counter.  Requires Full()
-  /// (the only situation the algorithm calls it in).  O(1).
-  void DecrementAll();
-
-  /// Space-Saving step: requires Full(); replaces one minimum-count entry's
-  /// key with `key` and increments it.  Returns the replaced minimum count.
+  /// Space-Saving step: requires Full() and `key` absent.  Gives the
+  /// first live slot — a minimum-count entry — to `key` and increments
+  /// it.  Returns the replaced minimum count.  O(1).
   uint64_t ReplaceMin(uint64_t key);
 
   /// Smallest effective count among live entries (0 if empty).
-  uint64_t MinCount() const;
+  uint64_t MinCount() const {
+    return first_live_ < capacity_ ? RunOf(first_live_).count - offset_ : 0;
+  }
   /// Largest effective count among live entries (0 if empty).
-  uint64_t MaxCount() const;
+  uint64_t MaxCount() const {
+    return first_live_ < capacity_ ? RunOf(capacity_ - 1).count - offset_
+                                   : 0;
+  }
 
   /// Total decrements applied via DecrementAll (the Misra–Gries
   /// undercount bound).
   uint64_t decrement_count() const { return offset_; }
 
-  /// Visits every live (key, effective count) pair, unordered.
-  void ForEach(const std::function<void(uint64_t, uint64_t)>& fn) const;
+  /// Visits every live (key, effective count) pair in ascending count
+  /// order.
+  template <typename F>
+  void ForEach(F&& fn) const {
+    for (size_t s = first_live_; s < capacity_; ++s) {
+      fn(cells_[slots_[s].cell].key, RunOf(s).count - offset_);
+    }
+  }
 
-  /// Paper-style accounting: per slot, `key_bits` for the id plus the
-  /// gamma cost of its current value (empty slots cost 1 bit), plus the
-  /// offset register.
+  /// Replaces the contents: offset `offset`, and the entries of
+  /// `ascending` — distinct keys, effective counts >= 1 in ascending
+  /// order, at most capacity() of them — laid out in the given order.
+  /// O(k).  Returns false, leaving the structure empty, on a repeated key.
+  bool Assign(uint64_t offset, const std::vector<Counter>& ascending);
+
+  /// The live entries of `a` and `b` combined by key in one pass over b
+  /// through a's index: counts of shared keys add, a key only in `a` gets
+  /// `a_only_bonus` added and a key only in `b` gets `b_only_bonus`.
+  /// Unordered.  O(k).
+  static std::vector<Counter> Combine(const CounterGroups& a,
+                                      uint64_t a_only_bonus,
+                                      const CounterGroups& b,
+                                      uint64_t b_only_bonus);
+
+  /// Paper-style accounting: per slot, `key_bits` for the id plus a value
+  /// width sized to the largest count, plus the offset register.
   size_t SpaceBits(int key_bits) const;
 
+  /// Canonical order (count asc, key asc): serializing a deserialized
+  /// structure reproduces the identical bit string.
   void Serialize(BitWriter& out) const;
+  /// Reads a serialized structure of this one's capacity in O(k); a
+  /// different capacity, a repeated key or a count past 2^64 leaves the
+  /// reader in its overflow state (and this structure empty) before any
+  /// allocation.
   void Deserialize(BitReader& in);
 
  private:
-  struct Entry {
-    uint64_t key = 0;
-    int group = -1;
-    int prev = -1;
-    int next = -1;
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  // A slot position keeps its run; the entry in it is named by its index
+  // cell (kNone for a zombie slot no key has ever used).
+  struct Slot {
+    uint32_t run;
+    uint32_t cell;
   };
-  struct Group {
-    uint64_t count = 0;  // absolute; effective = count - offset_
-    int head = -1;
-    int prev = -1;
-    int next = -1;
-    int size = 0;
+  struct Run {
+    uint64_t count;  // absolute; effective = count - offset_
+    uint32_t start;
+    uint32_t end;
+  };
+  struct Cell {
+    uint64_t key;
+    uint32_t slot;  // kNone: empty cell
   };
 
-  bool IsZombieGroup(int g) const {
-    return g >= 0 && groups_[g].count <= offset_;
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
+  const Run& RunOf(size_t slot) const { return runs_[slots_[slot].run]; }
 
-  int AllocGroup(uint64_t count);
-  void FreeGroup(int g);
-  int AllocEntrySlot();  // from free list or zombie pool; erases old key
-  void UnlinkEntryFromGroup(int e);
-  void LinkEntryToGroup(int e, int g);
-  /// Moves entry e from its group to the group with count (current + 1).
-  void PromoteEntry(int e);
-  /// Inserts a fresh group holding `count` immediately after group `after`
-  /// (-1 = at head).
-  int InsertGroupAfter(int after, uint64_t count);
+  /// Empties the structure and sets the offset.
+  void Reset(uint64_t offset);
+  /// The cell holding `key`, or the empty cell where it would go.
+  size_t Probe(uint64_t key) const;
+  /// Removes a cell by backward shift, re-pointing the moved entries.
+  /// Returns the cell left empty.
+  size_t EraseCell(size_t cell);
+  /// Exchanges the entries at two slot positions (each keeps its run).
+  void SwapSlots(uint32_t a, uint32_t b);
+  /// Slot s is the last of its run: hands it to the run holding `count`
+  /// just after it, opening that run when absent.
+  void HandOver(uint32_t s, uint64_t count);
 
   size_t capacity_;
-  size_t live_ = 0;
   uint64_t offset_ = 0;
-  int head_group_ = -1;
-  std::vector<Entry> entries_;
-  std::vector<Group> groups_;
-  std::vector<int> free_entries_;
-  std::vector<int> free_groups_;
-  std::unordered_map<uint64_t, int> index_;
+  uint32_t first_live_ = 0;  // slots [0, first_live_) are zombies
+  int shift_ = 63;
+  size_t mask_ = 1;
+  std::vector<Slot> slots_;
+  std::vector<Run> runs_;            // capacity_ + 1 records
+  std::vector<uint32_t> free_runs_;  // ids of unused run records
+  std::vector<Cell> cells_;
 };
 
 }  // namespace l1hh

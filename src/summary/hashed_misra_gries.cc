@@ -12,7 +12,7 @@ HashedMisraGries::HashedMisraGries(size_t counters, size_t top_ids,
       mg_(counters, BitWidth(hash.range() - 1)),
       top_capacity_(top_ids),
       id_bits_(id_bits) {
-  top_true_ids_.reserve(top_ids);
+  top_.reserve(top_ids);
 }
 
 void HashedMisraGries::Insert(uint64_t item) {
@@ -22,35 +22,35 @@ void HashedMisraGries::Insert(uint64_t item) {
   if (my_count == 0) return;  // the insert decremented-all; order unchanged
 
   // Already tracked?  (Also refresh duplicates defensively.)
-  for (const uint64_t id : top_true_ids_) {
-    if (id == item) return;
+  for (const TopId& t : top_) {
+    if (t.id == item) return;
   }
-  if (top_true_ids_.size() < top_capacity_) {
-    top_true_ids_.push_back(item);
+  if (top_.size() < top_capacity_) {
+    top_.push_back({item, key});
     return;
   }
   // Replace the weakest tracked id if this item now outranks it (the
   // paper's Case 2: x enters the top-1/phi set, so some y left it).
   size_t weakest = 0;
   uint64_t weakest_count = UINT64_MAX;
-  for (size_t i = 0; i < top_true_ids_.size(); ++i) {
-    const uint64_t c = mg_.Estimate(hash_(top_true_ids_[i]));
+  for (size_t i = 0; i < top_.size(); ++i) {
+    const uint64_t c = mg_.Estimate(top_[i].key);
     if (c < weakest_count) {
       weakest_count = c;
       weakest = i;
     }
   }
   if (my_count > weakest_count) {
-    top_true_ids_[weakest] = item;
+    top_[weakest] = {item, key};
   }
 }
 
 std::vector<HashedMisraGries::Entry> HashedMisraGries::TopEntries() const {
   std::vector<Entry> out;
-  out.reserve(top_true_ids_.size());
-  for (const uint64_t id : top_true_ids_) {
-    const uint64_t c = mg_.Estimate(hash_(id));
-    if (c > 0) out.push_back({id, c});
+  out.reserve(top_.size());
+  for (const TopId& t : top_) {
+    const uint64_t c = mg_.Estimate(t.key);
+    if (c > 0) out.push_back({t.id, c});
   }
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     return a.count > b.count || (a.count == b.count && a.item < b.item);
@@ -64,20 +64,19 @@ HashedMisraGries HashedMisraGries::Merge(const HashedMisraGries& a,
   if (!(a.hash_ == b.hash_)) return a;  // incompatible; caller bug
   merged.mg_ = MisraGries::Merge(a.mg_, b.mg_);
   // Union of the tracked ids, ranked by merged T1 counts.
-  std::vector<uint64_t> ids = a.top_true_ids_;
-  for (const uint64_t id : b.top_true_ids_) {
+  std::vector<TopId> top = a.top_;
+  for (const TopId& t : b.top_) {
     bool dup = false;
-    for (const uint64_t seen : ids) {
-      if (seen == id) dup = true;
+    for (const TopId& seen : top) {
+      if (seen.id == t.id) dup = true;
     }
-    if (!dup) ids.push_back(id);
+    if (!dup) top.push_back(t);
   }
-  std::sort(ids.begin(), ids.end(), [&](uint64_t x, uint64_t y) {
-    return merged.mg_.Estimate(merged.hash_(x)) >
-           merged.mg_.Estimate(merged.hash_(y));
+  std::sort(top.begin(), top.end(), [&](const TopId& x, const TopId& y) {
+    return merged.mg_.Estimate(x.key) > merged.mg_.Estimate(y.key);
   });
-  if (ids.size() > merged.top_capacity_) ids.resize(merged.top_capacity_);
-  merged.top_true_ids_ = std::move(ids);
+  if (top.size() > merged.top_capacity_) top.resize(merged.top_capacity_);
+  merged.top_ = std::move(top);
   return merged;
 }
 
@@ -93,21 +92,23 @@ void HashedMisraGries::Serialize(BitWriter& out) const {
   mg_.Serialize(out);
   out.WriteGamma(top_capacity_ + 1);
   out.WriteBits(static_cast<uint64_t>(id_bits_), 8);
-  out.WriteGamma(top_true_ids_.size() + 1);
-  for (const uint64_t id : top_true_ids_) out.WriteU64(id);
+  out.WriteGamma(top_.size() + 1);
+  for (const TopId& t : top_) out.WriteU64(t.id);
 }
 
-HashedMisraGries HashedMisraGries::Deserialize(BitReader& in) {
+HashedMisraGries HashedMisraGries::Deserialize(BitReader& in,
+                                               size_t counters) {
   const UniversalHash hash = UniversalHash::Deserialize(in);
-  MisraGries mg = MisraGries::Deserialize(in);
+  MisraGries mg = MisraGries::Deserialize(in, counters);
   const size_t top_capacity = in.CheckedCount(in.ReadGamma() - 1);
   const int id_bits = static_cast<int>(in.ReadBits(8));
   HashedMisraGries out(1, top_capacity, hash, id_bits);
   out.mg_ = std::move(mg);
   const size_t n_ids = in.CheckedCount(in.ReadGamma() - 1);
-  out.top_true_ids_.clear();
+  out.top_.clear();
   for (size_t i = 0; i < n_ids; ++i) {
-    out.top_true_ids_.push_back(in.ReadU64());
+    const uint64_t id = in.ReadU64();
+    out.top_.push_back({id, hash(id)});
   }
   return out;
 }

@@ -57,14 +57,22 @@ class HashedMisraGries {
   size_t SpaceBits() const;
 
   void Serialize(BitWriter& out) const;
-  static HashedMisraGries Deserialize(BitReader& in);
+  /// Reads a structure whose T1 has `counters` counters (see
+  /// MisraGries::Deserialize).
+  static HashedMisraGries Deserialize(BitReader& in, size_t counters);
 
  private:
   UniversalHash hash_;
   MisraGries mg_;                       // T1, keyed by hashed id
   size_t top_capacity_;                 // |T2|
   int id_bits_;
-  std::vector<uint64_t> top_true_ids_;  // T2
+  // T2: a true id beside its hashed key, so ranking the tracked ids
+  // reads T1 without re-hashing them.
+  struct TopId {
+    uint64_t id;
+    uint64_t key;
+  };
+  std::vector<TopId> top_;
 };
 
 }  // namespace l1hh

@@ -45,31 +45,30 @@ std::vector<MisraGries::Entry> MisraGries::EntriesAbove(
 }
 
 MisraGries MisraGries::Merge(const MisraGries& a, const MisraGries& b) {
-  std::vector<Entry> combined = a.Entries();
-  for (const Entry& e : b.Entries()) {
-    bool found = false;
-    for (Entry& c : combined) {
-      if (c.item == e.item) {
-        c.count += e.count;
-        found = true;
-        break;
-      }
-    }
-    if (!found) combined.push_back(e);
-  }
-  std::sort(combined.begin(), combined.end(),
-            [](const Entry& x, const Entry& y) { return x.count > y.count; });
+  std::vector<CounterGroups::Counter> combined =
+      CounterGroups::Combine(a.groups_, 0, b.groups_, 0);
+  // Subtract the (k+1)-st largest count; only entries above it survive,
+  // and there are at most k of them.
   const size_t k = a.k();
   uint64_t cut = 0;
-  if (combined.size() > k) cut = combined[k].count;
+  if (combined.size() > k) {
+    std::nth_element(combined.begin(), combined.begin() + k, combined.end(),
+                     [](const CounterGroups::Counter& x,
+                        const CounterGroups::Counter& y) {
+                       return x.count > y.count;
+                     });
+    cut = combined[k].count;
+    combined.resize(k);
+  }
+  std::erase_if(combined, [cut](const CounterGroups::Counter& c) {
+    return c.count <= cut;
+  });
+  for (CounterGroups::Counter& c : combined) c.count -= cut;
+  std::sort(combined.begin(), combined.end());
 
   MisraGries merged(k, a.key_bits_);
   merged.processed_ = a.processed_ + b.processed_;
-  for (size_t i = 0; i < combined.size() && i < k; ++i) {
-    if (combined[i].count <= cut) break;
-    merged.groups_.InsertWithCount(combined[i].item,
-                                   combined[i].count - cut);
-  }
+  merged.groups_.Assign(0, combined);
   return merged;
 }
 
@@ -79,10 +78,10 @@ void MisraGries::Serialize(BitWriter& out) const {
   groups_.Serialize(out);
 }
 
-MisraGries MisraGries::Deserialize(BitReader& in) {
+MisraGries MisraGries::Deserialize(BitReader& in, size_t k) {
   const int key_bits = static_cast<int>(in.ReadBits(8));
   const uint64_t processed = in.ReadCounter();
-  MisraGries mg(1, key_bits);
+  MisraGries mg(k, key_bits);
   mg.groups_.Deserialize(in);
   mg.processed_ = processed;
   return mg;

@@ -53,6 +53,7 @@ class MisraGries {
   /// Merge of two summaries (for distributed/test use): standard MG merge —
   /// sum counts, then subtract the (k+1)-st largest so at most k survive.
   /// The merged summary keeps the additive guarantee over the union stream.
+  /// One pass of b through a's index, one sort of the <= 2k candidates.
   static MisraGries Merge(const MisraGries& a, const MisraGries& b);
 
   size_t SpaceBits() const {
@@ -60,7 +61,9 @@ class MisraGries {
   }
 
   void Serialize(BitWriter& out) const;
-  static MisraGries Deserialize(BitReader& in);
+  /// Reads a summary of `k` counters: a payload declaring another k leaves
+  /// the reader in its overflow state (see CounterGroups::Deserialize).
+  static MisraGries Deserialize(BitReader& in, size_t k);
 
  private:
   CounterGroups groups_;

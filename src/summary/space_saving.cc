@@ -43,35 +43,25 @@ std::vector<SpaceSaving::Entry> SpaceSaving::EntriesAbove(
 }
 
 SpaceSaving SpaceSaving::Merge(const SpaceSaving& a, const SpaceSaving& b) {
-  std::vector<Entry> combined = a.Entries();
-  for (const Entry& e : b.Entries()) {
-    bool found = false;
-    for (Entry& c : combined) {
-      if (c.item == e.item) {
-        c.count += e.count;
-        found = true;
-        break;
-      }
-    }
-    // Items tracked by only one side get the other side's global
-    // overestimate added, keeping the one-sided error invariant.
-    if (!found) combined.push_back({e.item, e.count + a.MinCount()});
-  }
-  for (Entry& c : combined) {
-    bool in_b = false;
-    for (const Entry& e : b.Entries()) {
-      if (e.item == c.item) in_b = true;
-    }
-    if (!in_b) c.count += b.MinCount();
-  }
-  std::sort(combined.begin(), combined.end(),
-            [](const Entry& x, const Entry& y) { return x.count > y.count; });
+  // Items tracked by only one side get the other side's global
+  // overestimate added, keeping the one-sided error invariant.
+  std::vector<CounterGroups::Counter> combined = CounterGroups::Combine(
+      a.groups_, b.MinCount(), b.groups_, a.MinCount());
+  // Keep the k largest; a tie at the cut keeps the smaller item ids.
   const size_t k = a.k();
+  if (combined.size() > k) {
+    std::nth_element(combined.begin(), combined.begin() + k, combined.end(),
+                     [](const CounterGroups::Counter& x,
+                        const CounterGroups::Counter& y) {
+                       return x.count > y.count ||
+                              (x.count == y.count && x.key < y.key);
+                     });
+    combined.resize(k);
+  }
+  std::sort(combined.begin(), combined.end());
   SpaceSaving merged(k, a.key_bits_);
   merged.processed_ = a.processed_ + b.processed_;
-  for (size_t i = 0; i < combined.size() && i < k; ++i) {
-    merged.groups_.InsertWithCount(combined[i].item, combined[i].count);
-  }
+  merged.groups_.Assign(0, combined);
   return merged;
 }
 
@@ -81,10 +71,10 @@ void SpaceSaving::Serialize(BitWriter& out) const {
   groups_.Serialize(out);
 }
 
-SpaceSaving SpaceSaving::Deserialize(BitReader& in) {
+SpaceSaving SpaceSaving::Deserialize(BitReader& in, size_t k) {
   const int key_bits = static_cast<int>(in.ReadBits(8));
   const uint64_t processed = in.ReadCounter();
-  SpaceSaving ss(1, key_bits);
+  SpaceSaving ss(k, key_bits);
   ss.groups_.Deserialize(in);
   ss.processed_ = processed;
   return ss;

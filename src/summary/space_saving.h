@@ -2,7 +2,8 @@
 // paper lists among prior work.  With k counters:
 //     f(x) <= Estimate(x) <= f(x) + MinCount,   MinCount <= m/k,
 // and every item with f(x) > m/k is tracked.  O(1) worst-case update via
-// the shared CounterGroups structure.
+// the shared CounterGroups structure; among tied minimum counters the one
+// replaced is the first slot of the lowest run (CounterGroups::ReplaceMin).
 #ifndef L1HH_SUMMARY_SPACE_SAVING_H_
 #define L1HH_SUMMARY_SPACE_SAVING_H_
 
@@ -37,6 +38,10 @@ class SpaceSaving {
   /// Distributed merge: estimates add (both overestimate), and the merged
   /// summary keeps the k largest, preserving
   /// f(x) <= Estimate(x) <= f(x) + err_a + err_b over the union stream.
+  /// A tie at the k-th largest estimate keeps the smaller item ids, so
+  /// the result is a function of the two inputs' contents.  One pass of b
+  /// through a's index, one selection and one sort of the <= 2k
+  /// candidates.
   static SpaceSaving Merge(const SpaceSaving& a, const SpaceSaving& b);
 
   uint64_t items_processed() const { return processed_; }
@@ -47,7 +52,8 @@ class SpaceSaving {
   }
 
   void Serialize(BitWriter& out) const;
-  static SpaceSaving Deserialize(BitReader& in);
+  /// Reads a summary of `k` counters (see MisraGries::Deserialize).
+  static SpaceSaving Deserialize(BitReader& in, size_t k);
 
  private:
   CounterGroups groups_;

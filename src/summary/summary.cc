@@ -145,9 +145,8 @@ class MisraGriesSummary : public Summary {
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    MisraGries loaded = MisraGries::Deserialize(in);
+    MisraGries loaded = MisraGries::Deserialize(in, mg_.k());
     if (in.overflow()) return in.status();
-    if (loaded.k() != mg_.k()) return SnapshotShapeMismatch(Name());
     mg_ = std::move(loaded);
     return Status::Ok();
   }
@@ -209,9 +208,8 @@ class SpaceSavingSummary : public Summary {
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    SpaceSaving loaded = SpaceSaving::Deserialize(in);
+    SpaceSaving loaded = SpaceSaving::Deserialize(in, ss_.k());
     if (in.overflow()) return in.status();
-    if (loaded.k() != ss_.k()) return SnapshotShapeMismatch(Name());
     ss_ = std::move(loaded);
     return Status::Ok();
   }
@@ -644,7 +642,8 @@ class HashedMisraGriesSummary : public Summary {
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    HashedMisraGries loaded = HashedMisraGries::Deserialize(in);
+    HashedMisraGries loaded =
+        HashedMisraGries::Deserialize(in, table_.table().k());
     if (in.overflow()) return in.status();
     // Same construction seed <=> same drawn hash; anything else is a
     // header/payload mismatch.

@@ -65,7 +65,7 @@ TEST(CorruptionTest, MisraGriesTruncation) {
     const BitWriter t = Truncate(w, static_cast<size_t>(
                                         frac * w.size_bits()));
     BitReader r(t);
-    const MisraGries broken = MisraGries::Deserialize(r);
+    const MisraGries broken = MisraGries::Deserialize(r, mg.k());
     // Must not crash; the result is allowed to be anything sane.
     EXPECT_LE(broken.tracked(), broken.k() + 1);
   }
@@ -236,7 +236,7 @@ TEST(CorruptionTest, EmptyMessage) {
   BitWriter empty;
   {
     BitReader r(empty);
-    const MisraGries broken = MisraGries::Deserialize(r);
+    const MisraGries broken = MisraGries::Deserialize(r, 16);
     EXPECT_TRUE(r.overflow());
     EXPECT_EQ(broken.tracked(), 0u);
   }

@@ -75,18 +75,18 @@ struct Workload {
 /// all heavy occurrences at the END of the stream (the paper makes no
 /// ordering assumption; tail-loaded heavies are the worst case for
 /// sampling/bucket schemes that commit early).
-std::vector<Workload> MakeWorkloads(uint64_t seed) {
+std::vector<Workload> MakeWorkloads(uint64_t seed,
+                                    uint64_t length = kStreamLength) {
   std::vector<Workload> workloads;
   workloads.push_back(
-      {"zipf", MakeZipfStream(kUniverse, /*alpha=*/1.2, kStreamLength,
-                              seed)});
+      {"zipf", MakeZipfStream(kUniverse, /*alpha=*/1.2, length, seed)});
   PlantedSpec spec;
   // Two clear heavies, one just above phi, one just below (phi - eps):
   // the last must never be reported, the first three always.
   spec.planted_fractions = {0.12, 0.08, kPhi + 0.006, kPhi - kEpsilon -
                                                           0.005};
   spec.universe_size = kUniverse;
-  spec.stream_length = kStreamLength;
+  spec.stream_length = length;
   spec.order = StreamOrder::kHeaviesLast;
   workloads.push_back(
       {"adversarial", MakePlantedStream(spec, seed).items});
@@ -104,15 +104,19 @@ struct RunVerdict {
 /// view) and checks the Definition 1 contract either way.  Sharding must
 /// not cost any part of the guarantee — that is the engine's correctness
 /// claim, and for bdw_optimal it is the ISSUE 3 acceptance criterion.
+/// `configured_length` is the m the summary is built for (0: the stream's
+/// own length); the contract is always checked against the items seen.
 RunVerdict CheckDefinitionOneContract(const std::string& algorithm,
                                       const std::vector<uint64_t>& stream,
-                                      uint64_t seed, size_t shards = 1) {
+                                      uint64_t seed, size_t shards = 1,
+                                      uint64_t configured_length = 0) {
   SummaryOptions options;
   options.epsilon = kEpsilon;
   options.phi = kPhi;
   options.delta = kDelta;
   options.universe_size = kUniverse;
-  options.stream_length = stream.size();
+  options.stream_length =
+      configured_length != 0 ? configured_length : stream.size();
   options.seed = seed;
 
   std::unique_ptr<Summary> summary;
@@ -270,6 +274,73 @@ INSTANTIATE_TEST_SUITE_P(
     testing::ValuesIn(MergeableNames()),
     [](const testing::TestParamInfo<std::string>& info) {
       return info.param;
+    });
+
+// The paper's two algorithms are built for a stream length m, but a live
+// service is almost never at n = m: it holds fewer items until it gets
+// there and more afterwards.  Counts must be rescaled by the items seen,
+// not by m, so the same Definition-1 battery runs at n = m/4 and n = 4m —
+// through one summary and through a 2-shard engine — under the same
+// failure budget.  m = 2^16 keeps bdw_simple sampling (p ~ 0.55).
+constexpr uint64_t kConfiguredLength = uint64_t{1} << 16;
+
+struct LengthCase {
+  std::string algorithm;
+  uint64_t stream_length;
+  size_t shards;
+};
+
+class StreamLengthConformanceTest
+    : public testing::TestWithParam<LengthCase> {};
+
+TEST_P(StreamLengthConformanceTest, DefinitionOneHoldsWhenNDiffersFromM) {
+  const LengthCase& c = GetParam();
+  const int budget = AllowedFailures(kRuns, kDelta);
+  std::map<std::string, int> failures;
+  std::map<std::string, std::string> details;
+  for (int run = 0; run < kRuns; ++run) {
+    const uint64_t seed = 1000 + 17 * static_cast<uint64_t>(run);
+    for (auto& workload : MakeWorkloads(seed, c.stream_length)) {
+      const RunVerdict verdict = CheckDefinitionOneContract(
+          c.algorithm, workload.items, /*summary seed=*/seed + 1, c.shards,
+          kConfiguredLength);
+      if (!verdict.ok) {
+        ++failures[workload.name];
+        details[workload.name] += "\n  seed " + std::to_string(seed) +
+                                  ": " + verdict.detail;
+      }
+    }
+  }
+  for (const char* workload_name : {"zipf", "adversarial"}) {
+    EXPECT_LE(failures[workload_name], budget)
+        << c.algorithm << " at n=" << c.stream_length << ", m="
+        << kConfiguredLength << ", K=" << c.shards << " on "
+        << workload_name << ": " << failures[workload_name] << " of "
+        << kRuns << " runs violated the (eps, phi) contract (budget "
+        << budget << ")" << details[workload_name];
+  }
+}
+
+std::vector<LengthCase> LengthCases() {
+  std::vector<LengthCase> cases;
+  for (const char* algorithm : {"bdw_simple", "bdw_optimal"}) {
+    for (const uint64_t n : {kConfiguredLength / 4, kConfiguredLength * 4}) {
+      for (const size_t shards : {size_t{1}, size_t{2}}) {
+        cases.push_back({algorithm, n, shards});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperAlgorithms, StreamLengthConformanceTest,
+    testing::ValuesIn(LengthCases()),
+    [](const testing::TestParamInfo<LengthCase>& info) {
+      const LengthCase& c = info.param;
+      return c.algorithm +
+             (c.stream_length < kConfiguredLength ? "_quarter_m" : "_4m") +
+             "_k" + std::to_string(c.shards);
     });
 
 }  // namespace

@@ -78,7 +78,8 @@ TEST(HashedMisraGriesTest, SerializeRoundTrip) {
   BitWriter w;
   t.Serialize(w);
   BitReader r(w);
-  const HashedMisraGries t2 = HashedMisraGries::Deserialize(r);
+  const HashedMisraGries t2 =
+      HashedMisraGries::Deserialize(r, t.table().k());
   const auto top1 = t.TopEntries();
   const auto top2 = t2.TopEntries();
   ASSERT_EQ(top1.size(), top2.size());

@@ -123,7 +123,7 @@ TEST(MisraGriesTest, SerializeRoundTrip) {
   BitWriter w;
   mg.Serialize(w);
   BitReader r(w);
-  const MisraGries mg2 = MisraGries::Deserialize(r);
+  const MisraGries mg2 = MisraGries::Deserialize(r, mg.k());
   EXPECT_EQ(mg2.items_processed(), mg.items_processed());
   for (uint64_t x = 0; x < 100; ++x) {
     EXPECT_EQ(mg2.Estimate(x), mg.Estimate(x));

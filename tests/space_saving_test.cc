@@ -69,7 +69,7 @@ TEST(SpaceSavingTest, SerializeRoundTrip) {
   BitWriter w;
   ss.Serialize(w);
   BitReader r(w);
-  const SpaceSaving ss2 = SpaceSaving::Deserialize(r);
+  const SpaceSaving ss2 = SpaceSaving::Deserialize(r, ss.k());
   for (uint64_t x = 0; x < 150; ++x) {
     EXPECT_EQ(ss2.Estimate(x), ss.Estimate(x));
   }
