@@ -5,13 +5,14 @@
 namespace l1hh {
 
 CounterGroups::CounterGroups(size_t capacity) : capacity_(capacity) {
-  // Index: a power of two >= 8k cells.  Any load below 1 lets a probe
-  // always meet an empty cell, so the table never grows; at most 1/8 keeps
-  // nearly every probe and backward shift to one cell, which makes their
-  // loops predictable (measured in docs/ALGORITHMS.md, "Counter groups").
+  // Index: a power of two >= 4k cells of 8 bytes.  Any load below 1 lets
+  // a probe always meet an empty cell, so the table never grows; at most
+  // 1/4 keeps most probes and backward shifts to one cell, which makes
+  // their loops predictable, at the memory the linked structure used
+  // (measured in docs/ALGORITHMS.md, "Counter groups").
   int bits = 1;
-  while ((size_t{1} << bits) < 8 * capacity_) ++bits;
-  shift_ = 64 - bits;
+  while ((size_t{1} << bits) < 4 * capacity_) ++bits;
+  tag_shift_ = 32 - bits;
   mask_ = (size_t{1} << bits) - 1;
   Reset(0);
 }
@@ -22,19 +23,21 @@ void CounterGroups::Reset(uint64_t offset) {
   // Every slot starts as a never-used zombie in run 0 (count 0 <= offset).
   // Run records: at most k runs are non-empty, plus the one HandOver
   // opens before it retires the run it empties.
-  slots_.assign(capacity_, Slot{0, kNone});
+  slots_.assign(capacity_, Slot{0, 0, kNone});
   runs_.assign(capacity_ + 1, Run{0, 0, static_cast<uint32_t>(capacity_)});
   free_runs_.clear();
   for (size_t r = capacity_; r >= 1; --r) {
     free_runs_.push_back(static_cast<uint32_t>(r));
   }
   if (capacity_ == 0) free_runs_.push_back(0);
-  cells_.assign(mask_ + 1, Cell{0, kNone});
+  cells_.assign(mask_ + 1, Cell{kNone, 0});
 }
 
 size_t CounterGroups::Probe(uint64_t key) const {
-  size_t i = Home(key);
-  while (cells_[i].slot != kNone && cells_[i].key != key) {
+  const uint32_t tag = Tag(key);
+  size_t i = tag >> tag_shift_;
+  while (cells_[i].slot != kNone &&
+         (cells_[i].tag != tag || slots_[cells_[i].slot].key != key)) {
     i = (i + 1) & mask_;
   }
   return i;
@@ -46,7 +49,7 @@ size_t CounterGroups::EraseCell(size_t cell) {
        j = (j + 1) & mask_) {
     // The entry at j may fill the hole iff the hole lies cyclically in
     // [home, j), i.e. moving it back keeps it reachable from its home.
-    const size_t home = Home(cells_[j].key);
+    const size_t home = cells_[j].tag >> tag_shift_;
     if (((j - home) & mask_) >= ((j - hole) & mask_)) {
       cells_[hole] = cells_[j];
       slots_[cells_[hole].slot].cell = static_cast<uint32_t>(hole);
@@ -58,6 +61,7 @@ size_t CounterGroups::EraseCell(size_t cell) {
 }
 
 void CounterGroups::SwapSlots(uint32_t a, uint32_t b) {
+  std::swap(slots_[a].key, slots_[b].key);
   std::swap(slots_[a].cell, slots_[b].cell);
   if (slots_[a].cell != kNone) cells_[slots_[a].cell].slot = a;
   if (slots_[b].cell != kNone) cells_[slots_[b].cell].slot = b;
@@ -89,10 +93,11 @@ int CounterGroups::InsertNew(uint64_t key) {
       // Retire the zombie's key.  If that opens a hole on the key's probe
       // path, the key belongs in the hole instead.
       const size_t hole = EraseCell(slots_[b].cell);
-      const size_t home = Home(key);
+      const size_t home = Tag(key) >> tag_shift_;
       if (((hole - home) & mask_) < ((c - home) & mask_)) c = hole;
     }
-    cells_[c] = Cell{key, b};
+    cells_[c] = Cell{b, Tag(key)};
+    slots_[b].key = key;
     slots_[b].cell = static_cast<uint32_t>(c);
   }
   HandOver(b, offset_ + 1);
@@ -106,7 +111,8 @@ uint64_t CounterGroups::ReplaceMin(uint64_t key) {
   const uint64_t old_count = RunOf(p).count - offset_;
   EraseCell(slots_[p].cell);
   const size_t c = Probe(key);
-  cells_[c] = Cell{key, p};
+  cells_[c] = Cell{p, Tag(key)};
+  slots_[p].key = key;
   slots_[p].cell = static_cast<uint32_t>(c);
   Increment(static_cast<int>(c));
   return old_count;
@@ -134,8 +140,8 @@ bool CounterGroups::Assign(uint64_t offset,
       Reset(offset);
       return false;
     }
-    cells_[c] = Cell{ascending[i].key, s};
-    slots_[s] = Slot{run, static_cast<uint32_t>(c)};
+    cells_[c] = Cell{s, Tag(ascending[i].key)};
+    slots_[s] = Slot{ascending[i].key, run, static_cast<uint32_t>(c)};
   }
   first_live_ = first;
   return true;
@@ -185,7 +191,7 @@ void CounterGroups::Serialize(BitWriter& out) const {
   for (size_t s = first_live_; s < capacity_;) {
     const Run& run = RunOf(s);
     keys.clear();
-    for (; s < run.end; ++s) keys.push_back(cells_[slots_[s].cell].key);
+    for (; s < run.end; ++s) keys.push_back(slots_[s].key);
     std::sort(keys.begin(), keys.end());
     for (const uint64_t key : keys) {
       out.WriteU64(key);

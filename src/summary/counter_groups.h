@@ -11,7 +11,7 @@
 // it over, so every update touches O(1) slots and runs worst case, as the
 // paper claims for its algorithms (Section 3.1 and the reference to
 // Section 3.3 of [DLOM02] in the proof of Theorem 4).  Keys are found
-// through a fixed-capacity open-addressing index: a power of two >= 8k
+// through a fixed-capacity open-addressing index: a power of two >= 4k
 // cells, linear probing, backward-shift deletion (no tombstones), never
 // rehashed.  See docs/ALGORITHMS.md, "Counter groups".
 #ifndef L1HH_SUMMARY_COUNTER_GROUPS_H_
@@ -37,7 +37,7 @@ class CounterGroups {
     }
   };
 
-  /// `capacity` < 2^32 - 1.
+  /// `capacity` <= 2^30.
   explicit CounterGroups(size_t capacity);
 
   size_t capacity() const { return capacity_; }
@@ -49,10 +49,11 @@ class CounterGroups {
   /// a zombie.  A handle stays valid until the next InsertNew, ReplaceMin,
   /// Assign or Deserialize.
   int Find(uint64_t key) const {
-    for (size_t i = Home(key);; i = (i + 1) & mask_) {
-      const Cell& cell = cells_[i];
+    const uint32_t tag = Tag(key);
+    for (size_t i = tag >> tag_shift_;; i = (i + 1) & mask_) {
+      const Cell cell = cells_[i];
       if (cell.slot == kNone) return -1;
-      if (cell.key == key) {
+      if (cell.tag == tag && slots_[cell.slot].key == key) {
         return RunOf(cell.slot).count > offset_ ? static_cast<int>(i) : -1;
       }
     }
@@ -110,7 +111,7 @@ class CounterGroups {
   template <typename F>
   void ForEach(F&& fn) const {
     for (size_t s = first_live_; s < capacity_; ++s) {
-      fn(cells_[slots_[s].cell].key, RunOf(s).count - offset_);
+      fn(slots_[s].key, RunOf(s).count - offset_);
     }
   }
 
@@ -145,9 +146,10 @@ class CounterGroups {
  private:
   static constexpr uint32_t kNone = ~uint32_t{0};
 
-  // A slot position keeps its run; the entry in it is named by its index
-  // cell (kNone for a zombie slot no key has ever used).
+  // A slot position keeps its run; the entry in it (key and index cell,
+  // kNone for a zombie slot no key has ever used) moves between positions.
   struct Slot {
+    uint64_t key;
     uint32_t run;
     uint32_t cell;
   };
@@ -156,13 +158,15 @@ class CounterGroups {
     uint32_t start;
     uint32_t end;
   };
+  // The tag is the top half of the key's multiplicative hash: its top
+  // bits are the key's home cell, and it filters key comparisons.
   struct Cell {
-    uint64_t key;
     uint32_t slot;  // kNone: empty cell
+    uint32_t tag;
   };
 
-  size_t Home(uint64_t key) const {
-    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  static uint32_t Tag(uint64_t key) {
+    return static_cast<uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> 32);
   }
   const Run& RunOf(size_t slot) const { return runs_[slots_[slot].run]; }
 
@@ -182,7 +186,7 @@ class CounterGroups {
   size_t capacity_;
   uint64_t offset_ = 0;
   uint32_t first_live_ = 0;  // slots [0, first_live_) are zombies
-  int shift_ = 63;
+  int tag_shift_ = 31;  // home cell = tag >> tag_shift_
   size_t mask_ = 1;
   std::vector<Slot> slots_;
   std::vector<Run> runs_;            // capacity_ + 1 records

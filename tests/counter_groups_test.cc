@@ -418,10 +418,11 @@ TEST(CounterGroupsTest, MinMaxAndOrderTrackReference) {
 
 // The index's wrap-around probe and backward-shift delete: keys whose
 // home is the last cell form a cluster that wraps to cell 0; zombie reuse
-// then deletes from its middle.  Home() is mirrored here to pick the keys.
+// then deletes from its middle.  The home cell — the top bits of the key's
+// multiplicative hash — is mirrored here to pick the keys.
 TEST(CounterGroupsTest, IndexWrapAroundAndBackwardShift) {
-  const size_t k = 4;  // 32 index cells
-  const int bits = 5;
+  const size_t k = 4;  // 16 index cells
+  const int bits = 4;
   std::vector<uint64_t> wrapping;
   for (uint64_t key = 1; wrapping.size() < 6; ++key) {
     if ((key * 0x9e3779b97f4a7c15ULL) >> (64 - bits) == (1u << bits) - 1) {
@@ -452,6 +453,23 @@ TEST(CounterGroupsTest, IndexWrapAroundAndBackwardShift) {
     EXPECT_EQ(g.Count(wrapping[victim]), 0u);
     EXPECT_EQ(g.Find(wrapping[5]), -1);
   }
+}
+
+// Keys whose multiplicative hashes differ by one share their index tag (the
+// hash's top 32 bits, mirrored here); lookups must still compare the keys.
+TEST(CounterGroupsTest, TagCollisionsCompareKeys) {
+  const uint64_t multiplier = 0x9e3779b97f4a7c15ULL;
+  uint64_t inverse = multiplier;  // Newton: 3 -> 6 -> ... -> 96 bits
+  for (int i = 0; i < 5; ++i) inverse *= 2 - multiplier * inverse;
+  const uint64_t a = 12345, b = a + inverse;  // b * m == a * m + 1
+  ASSERT_EQ((a * multiplier) >> 32, (b * multiplier) >> 32);
+  CounterGroups g(4);
+  g.Increment(g.InsertNew(a));
+  EXPECT_EQ(g.Find(b), -1);
+  EXPECT_EQ(g.Count(b), 0u);
+  g.InsertNew(b);
+  EXPECT_EQ(g.Count(a), 2u);
+  EXPECT_EQ(g.Count(b), 1u);
 }
 
 // Merges against references built from the inputs' Entries(): Misra–Gries
