@@ -49,10 +49,10 @@ int main() {
 
   // Collector: deserialize and fold.
   BitReader r0(wires[0]);
-  BdwSimple fleet = BdwSimple::Deserialize(r0, 1);
+  BdwSimple fleet = BdwSimple::Deserialize(r0, opt, 1);
   for (int r = 1; r < kRouters; ++r) {
     BitReader rr(wires[r]);
-    fleet = BdwSimple::Merge(fleet, BdwSimple::Deserialize(rr, 1));
+    fleet = BdwSimple::Merge(fleet, BdwSimple::Deserialize(rr, opt, 1));
   }
 
   std::printf("%d routers x %llu packets; %zu bits total on the wire "

@@ -75,7 +75,7 @@ int main() {
               static_cast<unsigned long long>(packets));
 
   BitReader reader(wire);
-  const BdwSimple collector = BdwSimple::Deserialize(reader, 100);
+  const BdwSimple collector = BdwSimple::Deserialize(reader, opt, 100);
 
   std::printf("elephant flows (>5%% of packets):\n");
   for (const HeavyHitter& hh : collector.Report()) {

@@ -65,7 +65,8 @@ GameResult RunHeavyHittersIndexingGame(const HeavyHittersIndexingParams& p,
     alice.Serialize(message);
 
     BitReader reader(message);
-    BdwOptimal bob = BdwOptimal::Deserialize(reader, Mix64(seed ^ 0xb0bULL));
+    BdwOptimal bob =
+        BdwOptimal::Deserialize(reader, opt, Mix64(seed ^ 0xb0bULL));
     for (uint64_t a = 0; a < alphabet; ++a) {
       for (uint64_t c = 0; c < c2; ++c) bob.Insert(PairId(a, i, t));
     }
@@ -92,7 +93,7 @@ GameResult RunHeavyHittersIndexingGame(const HeavyHittersIndexingParams& p,
     alice.Serialize(message);
 
     BitReader reader(message);
-    BdwSimple bob = BdwSimple::Deserialize(reader, Mix64(seed ^ 0xb0bULL));
+    BdwSimple bob = BdwSimple::Deserialize(reader, opt, Mix64(seed ^ 0xb0bULL));
     for (uint64_t a = 0; a < alphabet; ++a) {
       for (uint64_t c = 0; c < c2; ++c) bob.Insert(PairId(a, i, t));
     }
@@ -142,7 +143,7 @@ GameResult RunMaximumIndexingGame(const MaximumIndexingParams& p,
 
   BitReader reader(message);
   EpsilonMaximum bob =
-      EpsilonMaximum::Deserialize(reader, Mix64(seed ^ 0xb0bULL));
+      EpsilonMaximum::Deserialize(reader, opt, Mix64(seed ^ 0xb0bULL));
   for (uint64_t a = 0; a < t; ++a) {
     for (uint64_t k = 0; k < c; ++k) bob.Insert(PairId(a, i, t));
   }

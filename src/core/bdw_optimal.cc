@@ -339,47 +339,38 @@ void BdwOptimal::SerializeImpl(BitWriter& out, bool sparse_grids) const {
   }
 }
 
-BdwOptimal BdwOptimal::Deserialize(BitReader& in, uint64_t seed) {
-  return DeserializeImpl(in, seed, /*sparse_grids=*/false);
+BdwOptimal BdwOptimal::Deserialize(BitReader& in, const Options& expected,
+                                   uint64_t seed) {
+  return DeserializeImpl(in, expected, seed, /*sparse_grids=*/false);
 }
 
-BdwOptimal BdwOptimal::DeserializeSparse(BitReader& in, uint64_t seed) {
-  return DeserializeImpl(in, seed, /*sparse_grids=*/true);
+BdwOptimal BdwOptimal::DeserializeSparse(BitReader& in,
+                                         const Options& expected,
+                                         uint64_t seed) {
+  return DeserializeImpl(in, expected, seed, /*sparse_grids=*/true);
 }
 
-BdwOptimal BdwOptimal::DeserializeImpl(BitReader& in, uint64_t seed,
-                                       bool sparse_grids) {
-  Options opt;
-  opt.epsilon = in.ReadDouble();
-  opt.phi = in.ReadDouble();
-  opt.delta = in.ReadDouble();
-  opt.universe_size = in.ReadU64();
-  opt.stream_length = in.ReadU64();
-  opt.constants.opt_sample_factor = in.ReadDouble();
-  opt.constants.opt_t1_factor = in.ReadDouble();
-  opt.constants.opt_rep_factor = in.ReadDouble();
-  opt.constants.opt_min_reps = static_cast<int>(in.ReadBits(16));
-  opt.constants.opt_rows_factor = in.ReadDouble();
-  opt.constants.opt_epoch_scale = in.ReadDouble();
-  SanitizeWireParams(opt.epsilon, opt.phi, opt.delta, opt.universe_size,
-                     opt.stream_length);
-  // The constants also size allocations; clamp them to sane ranges.
-  const Constants defaults;
-  auto clamp = [](double& v, double lo, double hi, double fallback) {
-    if (!(v >= lo && v <= hi)) v = fallback;
-  };
-  clamp(opt.constants.opt_sample_factor, 1.0, 1e7,
-        defaults.opt_sample_factor);
-  clamp(opt.constants.opt_t1_factor, 0.5, 100.0, defaults.opt_t1_factor);
-  clamp(opt.constants.opt_rep_factor, 0.5, 1e3, defaults.opt_rep_factor);
-  if (opt.constants.opt_min_reps < 1 || opt.constants.opt_min_reps > 4096) {
-    opt.constants.opt_min_reps = defaults.opt_min_reps;
+BdwOptimal BdwOptimal::DeserializeImpl(BitReader& in, const Options& expected,
+                                       uint64_t seed, bool sparse_grids) {
+  // The echoed options and constants are compared, never used: hostile
+  // values must not size T1 or the grids.
+  const Constants& c = expected.constants;
+  const bool echoed =
+      in.ReadDouble() == expected.epsilon && in.ReadDouble() == expected.phi &&
+      in.ReadDouble() == expected.delta &&
+      in.ReadU64() == expected.universe_size &&
+      in.ReadU64() == expected.stream_length &&
+      in.ReadDouble() == c.opt_sample_factor &&
+      in.ReadDouble() == c.opt_t1_factor &&
+      in.ReadDouble() == c.opt_rep_factor &&
+      static_cast<int>(in.ReadBits(16)) == c.opt_min_reps &&
+      in.ReadDouble() == c.opt_rows_factor &&
+      in.ReadDouble() == c.opt_epoch_scale;
+  BdwOptimal out(expected, seed);
+  if (!echoed) {
+    (void)in.CheckedCount(~uint64_t{0});  // force overflow status
+    return out;
   }
-  clamp(opt.constants.opt_rows_factor, 1.0, 1e4,
-        defaults.opt_rows_factor);
-  clamp(opt.constants.opt_epoch_scale, 2.0, 1e6,
-        defaults.opt_epoch_scale);
-  BdwOptimal out(opt, seed);
   out.position_ = in.ReadCounter();
   out.sampled_ = in.ReadCounter();
   out.epoch_floor_ = static_cast<int>(std::min<uint64_t>(
@@ -393,9 +384,9 @@ BdwOptimal BdwOptimal::DeserializeImpl(BitReader& in, uint64_t seed,
   for (auto& h : out.hashes_) h = UniversalHash::Deserialize(in);
   out.t1_ = MisraGries::Deserialize(in, out.t1_.k());
   if (sparse_grids) {
-    // Expected grid shapes come from the (sanitized) wire options the
-    // constructor just sized `out` by — the sparse encoding's size field
-    // is validated against them, never trusted for an allocation.
+    // Expected grid shapes come from the options `out` was sized by — the
+    // sparse encoding's size field is validated against them, never
+    // trusted for an allocation.
     out.t2_.DeserializeSparse(in, out.rows_ * out.reps_);
     out.t3_.DeserializeSparse(in, out.rows_ * out.reps_ *
                                       static_cast<size_t>(out.max_epoch_ +

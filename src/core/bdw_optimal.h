@@ -150,14 +150,18 @@ class BdwOptimal {
   /// the Section 4 communication games send, so the measured message
   /// size tracks the structure's cell count.
   void Serialize(BitWriter& out) const;
-  static BdwOptimal Deserialize(BitReader& in, uint64_t seed);
+  /// Same contract as BdwSimple::Deserialize: the echoed options and
+  /// constants must equal `expected`, which alone sizes the structure.
+  static BdwOptimal Deserialize(BitReader& in, const Options& expected,
+                                uint64_t seed);
 
   /// Snapshot encoding: identical except T2/T3 use the sparse gap-coded
   /// cell format (CompactCounterArray::SerializeSparse), collapsing the
   /// zero runs that dominate the dense grids — this is what SaveTo
   /// persists; see docs/SNAPSHOTS.md#measured-sizes.
   void SerializeSparse(BitWriter& out) const;
-  static BdwOptimal DeserializeSparse(BitReader& in, uint64_t seed);
+  static BdwOptimal DeserializeSparse(BitReader& in, const Options& expected,
+                                      uint64_t seed);
 
   /// Checks what a decoded sketch must satisfy before it is trusted: no
   /// T3 count above the current epoch (T3 is only ever written at the
@@ -173,8 +177,8 @@ class BdwOptimal {
 
  private:
   void SerializeImpl(BitWriter& out, bool sparse_grids) const;
-  static BdwOptimal DeserializeImpl(BitReader& in, uint64_t seed,
-                                    bool sparse_grids);
+  static BdwOptimal DeserializeImpl(BitReader& in, const Options& expected,
+                                    uint64_t seed, bool sparse_grids);
 
   size_t T2Cell(size_t row, size_t rep) const { return row * reps_ + rep; }
   size_t T3Cell(size_t row, size_t rep, int epoch) const {

@@ -132,22 +132,26 @@ void BdwSimple::Serialize(BitWriter& out) const {
   table_.Serialize(out);
 }
 
-BdwSimple BdwSimple::Deserialize(BitReader& in, uint64_t seed) {
-  Options opt;
-  opt.epsilon = in.ReadDouble();
-  opt.phi = in.ReadDouble();
-  opt.delta = in.ReadDouble();
-  opt.universe_size = in.ReadU64();
-  opt.stream_length = in.ReadU64();
-  SanitizeWireParams(opt.epsilon, opt.phi, opt.delta, opt.universe_size,
-                     opt.stream_length);
+BdwSimple BdwSimple::Deserialize(BitReader& in, const Options& expected,
+                                 uint64_t seed) {
+  // The echoed options are compared, never used: a hostile epsilon must
+  // not size the table.
+  const bool echoed = in.ReadDouble() == expected.epsilon &&
+                      in.ReadDouble() == expected.phi &&
+                      in.ReadDouble() == expected.delta &&
+                      in.ReadU64() == expected.universe_size &&
+                      in.ReadU64() == expected.stream_length;
+  if (!echoed) {
+    (void)in.CheckedCount(~uint64_t{0});  // force overflow status
+    return BdwSimple(expected, seed);
+  }
   const uint64_t position = in.ReadCounter();
   const uint64_t sampled = in.ReadCounter();
   GeometricSkipSampler sampler;
   sampler.Deserialize(in);
   HashedMisraGries table =
-      HashedMisraGries::Deserialize(in, TableCounters(opt));
-  BdwSimple out(opt, seed, std::move(table));
+      HashedMisraGries::Deserialize(in, TableCounters(expected));
+  BdwSimple out(expected, seed, std::move(table));
   out.position_ = position;
   out.sampled_ = sampled;
   out.sampler_ = sampler;

@@ -75,7 +75,13 @@ class BdwSimple {
   size_t SpaceBits() const;
 
   void Serialize(BitWriter& out) const;
-  static BdwSimple Deserialize(BitReader& in, uint64_t seed);
+  /// Rebuilds a serialized sketch.  The message echoes the sender's
+  /// options; they must equal `expected`, the receiver's own (protocol
+  /// constants, or the options a snapshot header names), and only those
+  /// size the tables.  A mismatch, like a truncated message, leaves the
+  /// reader in its overflow state.
+  static BdwSimple Deserialize(BitReader& in, const Options& expected,
+                               uint64_t seed);
 
   /// Snapshot support: persists the live PRNG state so a restored sketch
   /// continues the exact random sequence of the saved one.  Appended after

@@ -29,16 +29,4 @@ int UniverseBits(uint64_t universe_size) {
   return BitWidth(universe_size == 0 ? 1 : universe_size - 1);
 }
 
-void SanitizeWireParams(double& epsilon, double& phi, double& delta,
-                        uint64_t& universe_size, uint64_t& stream_length) {
-  // The negated comparisons are deliberate: they also reject NaN.
-  if (!(epsilon > 1e-12 && epsilon < 1.0)) epsilon = 0.25;
-  if (!(phi > epsilon && phi <= 1.0)) {
-    phi = epsilon * 2.0 < 1.0 ? epsilon * 2.0 : 1.0;
-  }
-  if (!(delta > 1e-12 && delta < 1.0)) delta = 0.5;
-  if (universe_size == 0) universe_size = 1;
-  if (stream_length == 0) stream_length = 1;
-}
-
 }  // namespace l1hh

@@ -121,13 +121,6 @@ Status ValidateHeavyHitterParams(double epsilon, double phi, double delta,
 /// Number of bits to address a universe of size n.
 int UniverseBits(uint64_t universe_size);
 
-/// Clamps possibly-corrupted parameters into their valid domains.  Every
-/// Deserialize() runs wire data through this before the values can reach a
-/// constructor (where epsilon = 0 or NaN would mean division blow-ups and
-/// undefined float-to-int casts).
-void SanitizeWireParams(double& epsilon, double& phi, double& delta,
-                        uint64_t& universe_size, uint64_t& stream_length);
-
 }  // namespace l1hh
 
 #endif  // L1HH_CORE_COMMON_H_

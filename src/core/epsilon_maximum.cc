@@ -97,15 +97,17 @@ void EpsilonMaximum::Serialize(BitWriter& out) const {
   table_.Serialize(out);
 }
 
-EpsilonMaximum EpsilonMaximum::Deserialize(BitReader& in, uint64_t seed) {
-  Options opt;
-  opt.epsilon = in.ReadDouble();
-  opt.delta = in.ReadDouble();
-  opt.universe_size = in.ReadU64();
-  opt.stream_length = in.ReadU64();
-  double phi_unused = 1.0;
-  SanitizeWireParams(opt.epsilon, phi_unused, opt.delta, opt.universe_size,
-                     opt.stream_length);
+EpsilonMaximum EpsilonMaximum::Deserialize(BitReader& in,
+                                           const Options& expected,
+                                           uint64_t seed) {
+  const bool echoed = in.ReadDouble() == expected.epsilon &&
+                      in.ReadDouble() == expected.delta &&
+                      in.ReadU64() == expected.universe_size &&
+                      in.ReadU64() == expected.stream_length;
+  if (!echoed) {
+    (void)in.CheckedCount(~uint64_t{0});  // force overflow status
+    return EpsilonMaximum(expected, seed);
+  }
   const uint64_t position = in.ReadCounter();
   const uint64_t sampled = in.ReadCounter();
   const bool has_max = in.ReadBool();
@@ -113,8 +115,8 @@ EpsilonMaximum EpsilonMaximum::Deserialize(BitReader& in, uint64_t seed) {
   GeometricSkipSampler sampler;
   sampler.Deserialize(in);
   HashedMisraGries table =
-      HashedMisraGries::Deserialize(in, TableCounters(opt));
-  EpsilonMaximum out(opt, seed, std::move(table));
+      HashedMisraGries::Deserialize(in, TableCounters(expected));
+  EpsilonMaximum out(expected, seed, std::move(table));
   out.position_ = position;
   out.sampled_ = sampled;
   out.has_max_ = has_max;

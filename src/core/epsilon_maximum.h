@@ -51,7 +51,10 @@ class EpsilonMaximum {
   size_t SpaceBits() const;
 
   void Serialize(BitWriter& out) const;
-  static EpsilonMaximum Deserialize(BitReader& in, uint64_t seed);
+  /// Same contract as BdwSimple::Deserialize: the echoed options must
+  /// equal `expected`, which alone sizes the table.
+  static EpsilonMaximum Deserialize(BitReader& in, const Options& expected,
+                                    uint64_t seed);
 
  private:
   EpsilonMaximum(const Options& options, uint64_t seed,

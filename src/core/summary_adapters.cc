@@ -91,19 +91,12 @@ class BdwSimpleSummary : public Summary {
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    BdwSimple loaded = BdwSimple::Deserialize(in, seed_);
+    // The payload echoes the sketch's options; Deserialize refuses them
+    // unless they agree with the header options this adapter was
+    // constructed from, which size the decoded tables.
+    BdwSimple loaded = BdwSimple::Deserialize(in, impl_.options(), seed_);
     loaded.DeserializeRngState(in);
     if (in.overflow()) return in.status();
-    // The wire carries the sketch's own options; they must agree with the
-    // header options this adapter was constructed from.
-    const BdwSimple::Options& a = loaded.options();
-    const BdwSimple::Options& b = impl_.options();
-    if (a.epsilon != b.epsilon || a.phi != b.phi || a.delta != b.delta ||
-        a.universe_size != b.universe_size ||
-        a.stream_length != b.stream_length) {
-      return Status::Corruption(
-          "'bdw_simple' snapshot payload options disagree with the header");
-    }
     impl_ = std::move(loaded);
     return Status::Ok();
   }
@@ -184,15 +177,17 @@ class BdwOptimalSummary : public Summary {
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    BdwOptimal loaded = BdwOptimal::DeserializeSparse(in, seed_);
+    // Sized from the header options, which the payload's echo must match.
+    BdwOptimal loaded =
+        BdwOptimal::DeserializeSparse(in, impl_.options(), seed_);
     loaded.DeserializeRngState(in);
     if (in.overflow()) return in.status();
-    // Compatible() re-verifies the full derived shape (rows, repetitions,
-    // epoch schedule, drawn hashes) against the instance the header
-    // options constructed — the same precondition Merge relies on.
+    // Compatible() re-verifies the decoded shape (sampling rate, drawn
+    // hashes) against the instance the header options constructed — the
+    // same precondition Merge relies on.
     if (!BdwOptimal::Compatible(impl_, loaded)) {
       return Status::Corruption(
-          "'bdw_optimal' snapshot payload options disagree with the header");
+          "'bdw_optimal' snapshot payload disagrees with the header options");
     }
     if (Status s = loaded.ValidateDecodedState(); !s.ok()) return s;
     impl_ = std::move(loaded);

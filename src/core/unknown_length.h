@@ -14,6 +14,7 @@
 #ifndef L1HH_CORE_UNKNOWN_LENGTH_H_
 #define L1HH_CORE_UNKNOWN_LENGTH_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -81,20 +82,28 @@ class UnknownLengthWrapper {
 
   /// Rebuilds a wrapper from a serialized message.  The receiving side must
   /// supply the same factory/window parameters (they are protocol
-  /// constants, not part of the message).
+  /// constants, not part of the message); each instance is decoded
+  /// against the options the factory gives for its level — the older one
+  /// was built for level max(L, 2), the fresh one for L + 1 — so no
+  /// message field sizes an instance.
   static UnknownLengthWrapper Deserialize(BitReader& in, Factory factory,
                                           double window_factor, double delta,
                                           uint64_t max_length_hint,
                                           uint64_t seed) {
     UnknownLengthWrapper w(std::move(factory), window_factor, delta,
                            max_length_hint, seed);
-    w.level_ = static_cast<int>(in.ReadBits(32));
+    // Levels past 64 are unreachable (the window is >= 2 and the length
+    // fits 64 bits); the bound keeps level_ + 1 from overflowing.
+    w.level_ = static_cast<int>(std::min<uint64_t>(in.ReadBits(32), 64));
     w.next_boundary_ = std::pow(w.window_, static_cast<double>(w.level_));
     w.morris_.Deserialize(in);
-    *w.old_ = Sketch::Deserialize(in, Mix64(seed ^ 0x01dULL));
+    *w.old_ = Sketch::Deserialize(
+        in, w.factory_(w.Assumed(std::max(w.level_, 2))).options(),
+        Mix64(seed ^ 0x01dULL));
     if (in.ReadBool()) {
-      w.fresh_ = std::make_unique<Sketch>(
-          Sketch::Deserialize(in, Mix64(seed ^ 0xf4e5ULL)));
+      w.fresh_ = std::make_unique<Sketch>(Sketch::Deserialize(
+          in, w.factory_(w.Assumed(w.level_ + 1)).options(),
+          Mix64(seed ^ 0xf4e5ULL)));
     }
     return w;
   }

@@ -1,10 +1,17 @@
 #include "summary/counter_groups.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace l1hh {
 
 CounterGroups::CounterGroups(size_t capacity) : capacity_(capacity) {
+  if (capacity_ > kMaxCapacity) {
+    std::fprintf(stderr, "CounterGroups: capacity %zu exceeds %zu\n",
+                 capacity_, kMaxCapacity);
+    std::abort();
+  }
   // Index: a power of two >= 4k cells of 8 bytes.  Any load below 1 lets
   // a probe always meet an empty cell, so the table never grows; at most
   // 1/4 keeps most probes and backward shifts to one cell, which makes
@@ -219,24 +226,19 @@ void CounterGroups::Deserialize(BitReader& in) {
   std::vector<Counter> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n && !in.overflow(); ++i) {
-    const uint64_t key = in.ReadU64();
-    const uint64_t count = in.ReadGamma();
-    if (count > ~uint64_t{0} - offset) {
+    const Counter entry{in.ReadU64(), in.ReadGamma()};
+    // Only the canonical order (strictly ascending) is accepted, so the
+    // rebuild is one O(k) pass.
+    if (entry.count > ~uint64_t{0} - offset ||
+        (!entries.empty() && !(entries.back() < entry))) {
       (void)in.CheckedCount(~uint64_t{0});
       break;
     }
-    entries.push_back({key, count});
+    entries.push_back(entry);
   }
   if (in.overflow()) {
     Reset(0);
     return;
-  }
-  // Canonical streams arrive sorted, keeping the rebuild O(k).
-  const auto by_count = [](const Counter& x, const Counter& y) {
-    return x.count < y.count;
-  };
-  if (!std::is_sorted(entries.begin(), entries.end(), by_count)) {
-    std::stable_sort(entries.begin(), entries.end(), by_count);
   }
   if (!Assign(offset, entries)) (void)in.CheckedCount(~uint64_t{0});
 }

@@ -37,7 +37,10 @@ class CounterGroups {
     }
   };
 
-  /// `capacity` <= 2^30.
+  /// The largest capacity: its 4k index cells still fit the int handles
+  /// and the 32-bit tags.  A larger one aborts (it would need >= 32 GiB).
+  static constexpr size_t kMaxCapacity = size_t{1} << 29;
+
   explicit CounterGroups(size_t capacity);
 
   size_t capacity() const { return capacity_; }
@@ -138,9 +141,9 @@ class CounterGroups {
   /// structure reproduces the identical bit string.
   void Serialize(BitWriter& out) const;
   /// Reads a serialized structure of this one's capacity in O(k); a
-  /// different capacity, a repeated key or a count past 2^64 leaves the
-  /// reader in its overflow state (and this structure empty) before any
-  /// allocation.
+  /// different capacity, entries out of canonical order (which covers a
+  /// repeated key) or a count past 2^64 leaves the reader in its overflow
+  /// state (and this structure empty) before any allocation.
   void Deserialize(BitReader& in);
 
  private:

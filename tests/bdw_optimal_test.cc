@@ -139,7 +139,7 @@ TEST(BdwOptimalTest, SerializeRoundTripAndResume) {
   BitWriter w;
   alice.Serialize(w);
   BitReader r(w);
-  BdwOptimal bob = BdwOptimal::Deserialize(r, 23);
+  BdwOptimal bob = BdwOptimal::Deserialize(r, alice.options(), 23);
   EXPECT_EQ(bob.samples_taken(), alice.samples_taken());
   for (uint64_t i = 0; i < m / 2; ++i) bob.Insert(7);
   const auto report = bob.Report();

@@ -138,7 +138,7 @@ TEST(BdwSimpleTest, SerializeRoundTripAndResume) {
   BitWriter w;
   alice.Serialize(w);
   BitReader r(w);
-  BdwSimple bob = BdwSimple::Deserialize(r, 14);
+  BdwSimple bob = BdwSimple::Deserialize(r, alice.options(), 14);
   EXPECT_EQ(bob.samples_taken(), alice.samples_taken());
   for (uint64_t i = 0; i < m / 2; ++i) bob.Insert(42);
   const auto report = bob.Report();

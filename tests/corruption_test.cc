@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include "core/bdw_simple.h"
+#include "core/bdw_optimal.h"
 #include "core/borda.h"
+#include "core/epsilon_maximum.h"
 #include "core/epsilon_minimum.h"
 #include "core/maximin.h"
 #include "count/compact_counter_array.h"
 #include "summary/count_min_sketch.h"
 #include "summary/lossy_counting.h"
 #include "summary/misra_gries.h"
+#include "summary/summary.h"
 #include "util/bit_stream.h"
 #include "util/random.h"
 
@@ -101,6 +104,72 @@ TEST(CorruptionTest, CompactCounterArrayTruncation) {
   }
 }
 
+// Copies `src` with its first 64 bits replaced by the double `value`: the
+// leading epsilon echo of the bdw_simple, bdw_optimal and eps-maximum
+// messages.
+BitWriter WithLeadingDouble(const BitWriter& src, double value) {
+  BitWriter out;
+  out.WriteDouble(value);
+  BitReader r(src);
+  (void)r.ReadU64();
+  while (r.remaining_bits() > 0) {
+    const int chunk = static_cast<int>(std::min<size_t>(r.remaining_bits(),
+                                                        64));
+    out.WriteBits(r.ReadBits(chunk), chunk);
+  }
+  return out;
+}
+
+// An epsilon of 1.1e-12 would ask for ~2e12 table counters: the decoders
+// size their tables from the receiver's options and refuse the echo
+// instead of allocating for it.
+TEST(CorruptionTest, HostileEpsilonEchoIsRefusedBeforeSizing) {
+  constexpr double kHostile = 1.1e-12;
+  SummaryOptions o;
+  o.epsilon = 0.05;
+  o.phi = 0.2;
+  o.universe_size = 1 << 16;
+  o.stream_length = 4000;
+  o.seed = 21;
+  for (const char* name : {"bdw_simple", "bdw_optimal"}) {
+    auto saved = MakeSummary(name, o);
+    ASSERT_NE(saved, nullptr) << name;
+    for (uint64_t i = 0; i < o.stream_length; ++i) saved->Update(i % 9, 1);
+    BitWriter w;
+    ASSERT_TRUE(saved->SaveTo(w).ok()) << name;
+    const BitWriter hostile = WithLeadingDouble(w, kHostile);
+    auto loaded = MakeSummary(name, o);
+    BitReader r(hostile);
+    EXPECT_TRUE(loaded->LoadFrom(r).IsCorruption()) << name;
+    EXPECT_EQ(loaded->ItemsProcessed(), 0u) << name;
+  }
+
+  BdwSimple::Options simple;
+  simple.epsilon = 0.05;
+  simple.phi = 0.2;
+  simple.universe_size = 1 << 16;
+  simple.stream_length = 4000;
+  BitWriter ws;
+  BdwSimple(simple, 22).Serialize(ws);
+  const BitWriter hostile_simple = WithLeadingDouble(ws, kHostile);
+  BitReader rs(hostile_simple);
+  BdwSimple broken_simple = BdwSimple::Deserialize(rs, simple, 23);
+  EXPECT_TRUE(rs.overflow());
+  broken_simple.Insert(1);
+
+  EpsilonMaximum::Options max;
+  max.epsilon = 0.05;
+  max.universe_size = 1 << 16;
+  max.stream_length = 4000;
+  BitWriter wm;
+  EpsilonMaximum(max, 24).Serialize(wm);
+  const BitWriter hostile_max = WithLeadingDouble(wm, kHostile);
+  BitReader rm(hostile_max);
+  EpsilonMaximum broken_max = EpsilonMaximum::Deserialize(rm, max, 25);
+  EXPECT_TRUE(rm.overflow());
+  broken_max.Insert(1);
+}
+
 TEST(CorruptionTest, BdwSimpleTruncation) {
   BdwSimple::Options opt;
   opt.epsilon = 0.05;
@@ -115,7 +184,7 @@ TEST(CorruptionTest, BdwSimpleTruncation) {
     const BitWriter t = Truncate(w, static_cast<size_t>(
                                         frac * w.size_bits()));
     BitReader r(t);
-    BdwSimple broken = BdwSimple::Deserialize(r, 4);
+    BdwSimple broken = BdwSimple::Deserialize(r, opt, 4);
     EXPECT_TRUE(r.overflow());
     broken.Insert(1);  // must still be usable
     (void)broken.Report();
@@ -140,7 +209,7 @@ TEST(CorruptionTest, BdwSimplePayloadBitFlips) {
         start + rng.UniformU64(w.size_bits() - start);
     const BitWriter flipped = FlipBit(w, pos);
     BitReader r(flipped);
-    BdwSimple broken = BdwSimple::Deserialize(r, 7);
+    BdwSimple broken = BdwSimple::Deserialize(r, opt, 7);
     broken.Insert(1);
     (void)broken.Report();  // no crash, no unbounded allocation
   }

@@ -575,23 +575,24 @@ TEST(CounterGroupsTest, DeserializeRefusesMalformedPayloads) {
     g.Deserialize(r);
     EXPECT_TRUE(r.overflow());
   }
-  {  // out of canonical order: accepted, and re-encoded canonically
-    const BitWriter w = encode(8, 2, {{9, 4}, {3, 1}, {7, 4}, {1, 1}});
+  // Out of canonical order (count asc, key asc): a count that falls, and
+  // keys of one count out of order.
+  for (const auto& entries :
+       {std::vector<CounterGroups::Counter>{{9, 4}, {3, 1}},
+        std::vector<CounterGroups::Counter>{{1, 1}, {7, 4}, {3, 4}}}) {
+    const BitWriter w = encode(8, 2, entries);
     BitReader r(w);
     CounterGroups g(8);
     g.Deserialize(r);
-    EXPECT_FALSE(r.overflow());
-    EXPECT_EQ(g.Count(9), 4u);
-    EXPECT_EQ(g.Count(1), 1u);
-    EXPECT_EQ(g.MinCount(), 1u);
-    EXPECT_EQ(g.MaxCount(), 4u);
-    EXPECT_EQ(g.decrement_count(), 2u);
-    const BitWriter canonical = encode(8, 2, {{1, 1}, {3, 1}, {7, 4}, {9, 4}});
-    BitWriter again;
-    g.Serialize(again);
-    EXPECT_EQ(again.words(), canonical.words());
-    EXPECT_EQ(again.size_bits(), canonical.size_bits());
+    EXPECT_TRUE(r.overflow());
+    EXPECT_EQ(g.live_size(), 0u);
   }
+}
+
+// A capacity whose index would outgrow the int handles is refused before
+// anything is allocated.
+TEST(CounterGroupsTest, CapacityPastLimitAborts) {
+  EXPECT_DEATH(CounterGroups(CounterGroups::kMaxCapacity + 1), "exceeds");
 }
 
 // The snapshot payload bytes of the counter-group summaries (and of

@@ -106,7 +106,7 @@ TEST(EpsilonMaximumTest, SerializeRoundTripAndResume) {
   BitWriter w;
   alice.Serialize(w);
   BitReader r(w);
-  EpsilonMaximum bob = EpsilonMaximum::Deserialize(r, 15);
+  EpsilonMaximum bob = EpsilonMaximum::Deserialize(r, alice.options(), 15);
   for (uint64_t i = 0; i < m / 2; ++i) bob.Insert(99);  // new clear max
   EXPECT_EQ(bob.Report().item, 99u);
 }

@@ -195,7 +195,7 @@ TEST(IntegrationTest, HandoffAcrossSerialization) {
   BitWriter wire;
   node_a.Serialize(wire);
   BitReader r(wire);
-  BdwOptimal node_b = BdwOptimal::Deserialize(r, 16);
+  BdwOptimal node_b = BdwOptimal::Deserialize(r, opt, 16);
   for (uint64_t i = m / 2; i < m; ++i) node_b.Insert(s.items[i]);
 
   bool found = false;

@@ -106,7 +106,7 @@ TEST(PropertiesTest, SerializationIdempotent) {
   BitWriter first;
   sketch.Serialize(first);
   BitReader r(first);
-  const BdwSimple copy = BdwSimple::Deserialize(r, 42);
+  const BdwSimple copy = BdwSimple::Deserialize(r, opt, 42);
   BitWriter second;
   copy.Serialize(second);
   ASSERT_EQ(first.size_bits(), second.size_bits());
