@@ -1,11 +1,20 @@
 #include "engine/shard_set.h"
 
+#include "io/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "window/sliding_window_summary.h"
 
 namespace l1hh {
+namespace {
+
+uint64_t WindowRotations(const Summary& shard) {
+  const auto* window = dynamic_cast<const SlidingWindowSummary*>(&shard);
+  return window == nullptr ? 0 : window->rotations();
+}
+
+}  // namespace
 
 Status CheckShardSet(ShardSpan shards, const std::string& algorithm,
                      uint64_t* rotations) {
@@ -31,7 +40,7 @@ Status CheckShardSet(ShardSpan shards, const std::string& algorithm,
   // boundaries, or the rings would not be bucket-wise mergeable.
   const auto* window0 =
       dynamic_cast<const SlidingWindowSummary*>(shards[0].get());
-  const uint64_t common = window0 == nullptr ? 0 : window0->rotations();
+  const uint64_t common = WindowRotations(*shards[0]);
   uint64_t total = 0;
   for (size_t s = 0; s < shards.size(); ++s) {
     // Same options and seed, or the first merged view would fail to
@@ -40,11 +49,7 @@ Status CheckShardSet(ShardSpan shards, const std::string& algorithm,
       return refuse(s, "was built with different options or seed than "
                        "shard 0; not shards of one stream");
     }
-    // Every shard holds `algorithm`, so each is windowed iff shard 0 is.
-    const uint64_t rotated =
-        window0 == nullptr
-            ? 0
-            : static_cast<const SlidingWindowSummary&>(*shards[s]).rotations();
+    const uint64_t rotated = WindowRotations(*shards[s]);
     if (rotated != common) {
       return refuse(s, "rotated " + std::to_string(rotated) +
                            " times, shard 0 " + std::to_string(common) +
@@ -78,6 +83,101 @@ Status CheckShardSet(ShardSpan shards, const std::string& algorithm,
         (at_boundary ? " or " + std::to_string(total / stride) : "") + ")");
   }
   return Status::Ok();
+}
+
+StagedShardSet::StagedShardSet(
+    std::vector<std::unique_ptr<Summary>>* committed, std::mutex* mutex)
+    : committed_(committed),
+      mutex_(mutex),
+      staged_(committed->size()),
+      framed_(committed->size()) {}
+
+std::unique_lock<std::mutex> StagedShardSet::Lock() const {
+  return mutex_ == nullptr ? std::unique_lock<std::mutex>()
+                           : std::unique_lock<std::mutex>(*mutex_);
+}
+
+Status StagedShardSet::Apply(const ShardFrame& frame) {
+  if (refused_.ok()) refused_ = Stage(frame);
+  return refused_;
+}
+
+Status StagedShardSet::Stage(const ShardFrame& frame) {
+  if (frame.shard >= staged_.size()) {
+    return Status::Corruption("frame for shard " +
+                              std::to_string(frame.shard) + " of " +
+                              std::to_string(staged_.size()));
+  }
+  std::unique_ptr<Summary>& shard = staged_[frame.shard];
+  Status status;
+  if (frame.delta && shard == nullptr) {
+    // Copy the committed shard, so readers keep the original. The encode
+    // holds the lock: a windowed summary's merged cache is `mutable`, so
+    // even a const read of a committed shard would race a reader.
+    std::vector<uint8_t> base;
+    {
+      const auto lock = Lock();
+      const Summary* committed = (*committed_)[frame.shard].get();
+      if (committed == nullptr) {
+        return Status::FailedPrecondition("delta frame before a full frame");
+      }
+      status = SaveSummary(*committed, &base);
+    }
+    if (status.ok()) shard = LoadSummary(base, &status);
+  }
+  if (!frame.delta) {
+    shard = LoadSummary(frame.bytes, &status);
+  } else if (status.ok()) {
+    status = ApplySummaryDelta(frame.bytes, shard.get());
+  }
+  if (status.ok()) framed_[frame.shard].Advance(frame);
+  return status;
+}
+
+Status StagedShardSet::Commit(
+    const std::string& algorithm, uint64_t total_items,
+    const std::function<void(uint64_t rotations)>& on_commit) {
+  if (!refused_.ok()) return refused_;
+  const auto lock = Lock();
+  // Unframed shards join the staged set for the checks, and go back if
+  // it is refused.
+  const auto carry = [this] {
+    for (size_t s = 0; s < staged_.size(); ++s) {
+      if (!framed_[s].valid) staged_[s].swap((*committed_)[s]);
+    }
+  };
+  carry();
+  uint64_t rotations = 0;
+  refused_ = Check(algorithm, total_items, &rotations);
+  if (!refused_.ok()) {
+    carry();
+    return refused_;
+  }
+  committed_->swap(staged_);
+  if (on_commit != nullptr) on_commit(rotations);
+  return Status::Ok();
+}
+
+Status StagedShardSet::Check(const std::string& algorithm,
+                             uint64_t total_items, uint64_t* rotations) {
+  uint64_t total = 0;
+  for (size_t s = 0; s < staged_.size(); ++s) {
+    if (staged_[s] == nullptr) continue;  // CheckShardSet refuses it
+    total += staged_[s]->ItemsProcessed();
+    if (framed_[s].valid &&
+        (staged_[s]->ItemsProcessed() != framed_[s].applied ||
+         WindowRotations(*staged_[s]) != framed_[s].rotations)) {
+      return Status::Corruption(
+          "shard " + std::to_string(s) + " disagrees with its frame's " +
+          std::to_string(framed_[s].applied) + " items and " +
+          std::to_string(framed_[s].rotations) + " rotations");
+    }
+  }
+  const Status checked = CheckShardSet(staged_, algorithm, rotations);
+  if (!checked.ok() || total == total_items) return checked;
+  return Status::Corruption("shards hold " + std::to_string(total) +
+                            " items, the round declares " +
+                            std::to_string(total_items));
 }
 
 MergedViewCache::MergedViewCache(const std::string& metric_prefix)

@@ -4,14 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
-#include "io/durable_file.h"
+#include "io/checkpoint.h"
 #include "io/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -41,210 +37,6 @@ class IdleBackoff {
  private:
   unsigned idle_rounds_ = 0;
 };
-
-// Checkpoint files carry both the shard index and the generation that
-// wrote them, so a delta chain spanning generations never collides with
-// its own base and retention can prune by name.  docs/SNAPSHOTS.md has
-// the full directory layout.
-std::string ShardFullFileName(size_t shard, uint64_t gen) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "shard-%04zu.g%06llu.l1hh", shard,
-                static_cast<unsigned long long>(gen));
-  return name;
-}
-
-std::string ShardDeltaFileName(size_t shard, uint64_t gen) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "shard-%04zu.g%06llu.delta", shard,
-                static_cast<unsigned long long>(gen));
-  return name;
-}
-
-constexpr const char* kManifestPrefix = "MANIFEST.";
-constexpr const char* kManifestHeader = "l1hh-checkpoint v2";
-
-std::string ManifestFileName(uint64_t gen) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "MANIFEST.%06llu",
-                static_cast<unsigned long long>(gen));
-  return name;
-}
-
-// Extracts <gen> from a MANIFEST.<gen> file name; false for anything else
-// (including a bare pre-v2 "MANIFEST", which this build no longer reads).
-bool ParseManifestGeneration(const std::string& name, uint64_t* gen) {
-  const std::string prefix(kManifestPrefix);
-  if (name.size() <= prefix.size() ||
-      name.compare(0, prefix.size(), prefix) != 0) {
-    return false;
-  }
-  uint64_t g = 0;
-  for (size_t i = prefix.size(); i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    g = g * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *gen = g;
-  return true;
-}
-
-/// Manifest generations present in `dir`, newest first.
-std::vector<uint64_t> ListManifestGenerations(const std::string& dir) {
-  std::vector<uint64_t> gens;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    uint64_t gen = 0;
-    if (ParseManifestGeneration(entry.path().filename().string(), &gen)) {
-      gens.push_back(gen);
-    }
-  }
-  std::sort(gens.begin(), gens.end(), std::greater<uint64_t>());
-  return gens;
-}
-
-// One shard's record in a parsed manifest: the clocks its chain replays
-// to and the chain itself — full base snapshot first, deltas in apply
-// order.  Every manifest is self-contained (it lists complete chains),
-// so restoring a generation never consults an older manifest.
-struct ManifestShard {
-  uint64_t applied = 0;
-  uint64_t rotations = 0;
-  std::vector<std::string> files;
-};
-
-struct Manifest {
-  std::string algorithm;
-  uint64_t num_shards = 0;
-  uint64_t generation = 0;
-  uint64_t items_processed = 0;
-  std::vector<ManifestShard> shards;
-};
-
-/// Checkpoint writes chain files with fixed name shapes; anything else in
-/// a manifest (path separators, a delta in base position, a foreign
-/// name) is tampering, not a checkpoint we wrote.
-bool PlausibleChainFileName(const std::string& file, uint64_t shard,
-                            bool is_full) {
-  char prefix[24];
-  std::snprintf(prefix, sizeof(prefix), "shard-%04llu.g",
-                static_cast<unsigned long long>(shard));
-  const std::string suffix = is_full ? ".l1hh" : ".delta";
-  return file.size() > std::strlen(prefix) + suffix.size() &&
-         file.compare(0, std::strlen(prefix), prefix) == 0 &&
-         file.compare(file.size() - suffix.size(), suffix.size(), suffix) ==
-             0 &&
-         file.find('/') == std::string::npos;
-}
-
-Status ParseManifestFile(const std::string& path, Manifest* manifest) {
-  std::vector<uint8_t> raw;
-  const Status read = ReadFileBytes(path, &raw);
-  if (!read.ok()) return read;
-  std::istringstream in(std::string(raw.begin(), raw.end()));
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    return Status::Corruption("unrecognized manifest header in '" + path +
-                              "'");
-  }
-  *manifest = Manifest{};
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return Status::Corruption("malformed manifest line '" + line +
-                                "' in '" + path + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "algorithm") {
-      manifest->algorithm = value;
-    } else if (key == "num_shards") {
-      manifest->num_shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "generation") {
-      manifest->generation = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "items_processed") {
-      manifest->items_processed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "shard") {
-      // "shard=IDX APPLIED ROTATIONS FILE[+FILE...]", in index order.
-      std::istringstream fields(value);
-      uint64_t index = 0;
-      ManifestShard shard;
-      std::string chain;
-      if (!(fields >> index >> shard.applied >> shard.rotations >> chain) ||
-          index != manifest->shards.size()) {
-        return Status::Corruption("malformed shard record '" + value +
-                                  "' in '" + path + "'");
-      }
-      for (size_t start = 0; start <= chain.size();) {
-        const size_t plus = chain.find('+', start);
-        const size_t end = plus == std::string::npos ? chain.size() : plus;
-        shard.files.push_back(chain.substr(start, end - start));
-        if (!PlausibleChainFileName(shard.files.back(), index,
-                                    shard.files.size() == 1)) {
-          return Status::Corruption("unexpected shard file name '" +
-                                    shard.files.back() + "' in '" + path +
-                                    "'");
-        }
-        if (plus == std::string::npos) break;
-        start = plus + 1;
-      }
-      manifest->shards.push_back(std::move(shard));
-    } else {
-      // Unknown keys are rejected, not skipped: a v2 reader must not
-      // half-understand a future manifest.
-      return Status::InvalidArgument("unknown manifest key '" + key +
-                                     "' in '" + path + "'");
-    }
-  }
-  if (manifest->algorithm.empty() || manifest->num_shards == 0 ||
-      manifest->shards.size() != manifest->num_shards) {
-    return Status::Corruption(
-        "manifest '" + path + "' is incomplete (algorithm='" +
-        manifest->algorithm +
-        "', num_shards=" + std::to_string(manifest->num_shards) + ", " +
-        std::to_string(manifest->shards.size()) + " shard records)");
-  }
-  return Status::Ok();
-}
-
-/// Best-effort retention after a new generation lands: keep the newest
-/// two parseable manifests and every chain file they reference; remove
-/// older manifests, orphaned shard files, and stray .tmp leftovers from
-/// interrupted writes.  Failures here are ignored — retention never
-/// outranks the checkpoint that just completed.
-void PruneCheckpoints(const std::string& dir) {
-  std::error_code ec;
-  std::set<std::string> keep;
-  size_t kept = 0;
-  for (const uint64_t gen : ListManifestGenerations(dir)) {
-    const std::string name = ManifestFileName(gen);
-    if (kept < 2) {
-      Manifest manifest;
-      if (ParseManifestFile((std::filesystem::path(dir) / name).string(),
-                            &manifest)
-              .ok()) {
-        keep.insert(name);
-        for (const ManifestShard& shard : manifest.shards) {
-          keep.insert(shard.files.begin(), shard.files.end());
-        }
-        ++kept;
-        continue;
-      }
-      // An unparseable manifest is dead weight; fall through and drop it.
-    }
-    std::filesystem::remove(std::filesystem::path(dir) / name, ec);
-  }
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (keep.count(name) != 0) continue;
-    const bool stray_tmp = name.ends_with(kDurableTmpSuffix);
-    const bool chain_file =
-        name.rfind("shard-", 0) == 0 &&
-        (name.ends_with(".l1hh") || name.ends_with(".delta"));
-    if (stray_tmp || chain_file) {
-      std::filesystem::remove(entry.path(), ec);
-    }
-  }
-}
 
 // Ring memory scales as num_shards * max_producers * queue_capacity; cap
 // the slot count so a typo cannot request terabytes of rings.
@@ -923,10 +715,6 @@ Status ShardedEngine::CaptureFramesLocked(
         base.rotations == rotations) {
       continue;  // clean: the consumer already holds exactly this state
     }
-    ShardFrame frame;
-    frame.shard = s;
-    frame.applied = applied;
-    frame.rotations = rotations;
     // A delta only exists for a windowed shard whose baseline precedes
     // the live clocks, whose dirty tail still fits inside the ring, and
     // whose chain has not hit the replay-length bound.
@@ -934,15 +722,12 @@ Status ShardedEngine::CaptureFramesLocked(
         base.valid && !windows_.empty() && base.chain < max_delta_chain &&
         base.applied <= applied && base.rotations <= rotations &&
         rotations - base.rotations + 1 < windows_[s]->num_buckets();
-    if (can_delta) {
-      frame.delta = true;
-      const Status saved = SaveSummaryDelta(
-          *summaries_[s], base.rotations, base.applied, &frame.bytes);
-      if (!saved.ok()) return saved;
-    } else {
-      const Status saved = SaveSummary(*summaries_[s], &frame.bytes);
-      if (!saved.ok()) return saved;
-    }
+    ShardFrame frame{s, can_delta, applied, rotations, {}};
+    const Status saved =
+        can_delta ? SaveSummaryDelta(*summaries_[s], base.rotations,
+                                     base.applied, &frame.bytes)
+                  : SaveSummary(*summaries_[s], &frame.bytes);
+    if (!saved.ok()) return saved;
     frames->push_back(std::move(frame));
   }
   if (total_applied != nullptr) *total_applied = TotalApplied();
@@ -960,123 +745,38 @@ Status ShardedEngine::CaptureFrames(
 
 Status ShardedEngine::WriteCheckpoint(const std::string& dir,
                                       bool incremental) {
-  const char* const kind = incremental ? "delta" : "full";
   obs::Trace(obs::Severity::kInfo, "checkpoint.begin", incremental ? 1 : 0);
   const uint64_t t0 = obs::TraceRing::NowNs();
-  uint64_t frame_bytes = 0;
-  uint64_t full_frames = 0;
-  uint64_t delta_frames = 0;
-  Status result = Parked([&]() -> Status {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      return Status::IOError("cannot create checkpoint directory '" + dir +
-                             "': " + ec.message());
+  std::vector<ShardFrame> frames;
+  const Status result = Parked([&]() -> Status {
+    Manifest next;
+    Status s = BeginCheckpoint(dir, options_.algorithm, shards_.size(),
+                               incremental, &next);
+    if (s.ok()) {
+      s = CaptureFramesLocked(next.shards, kMaxDeltaChain, &frames,
+                              &next.items_processed);
     }
-    const std::vector<uint64_t> gens = ListManifestGenerations(dir);
-
-    // Baselines come from the newest parseable manifest ON DISK — not
-    // from engine memory — so incremental checkpointing survives process
-    // restarts and never trusts a generation it cannot re-read.
-    Manifest base_manifest;
-    bool have_base = false;
-    if (incremental) {
-      for (const uint64_t gen : gens) {
-        Manifest candidate;
-        if (ParseManifestFile(
-                (std::filesystem::path(dir) / ManifestFileName(gen))
-                    .string(),
-                &candidate)
-                .ok() &&
-            candidate.algorithm == options_.algorithm &&
-            candidate.num_shards == shards_.size()) {
-          base_manifest = std::move(candidate);
-          have_base = true;
-          break;
-        }
-      }
-    }
-    std::vector<ShardBaseline> baselines;
-    if (have_base) {
-      baselines.resize(shards_.size());
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        baselines[s].valid = true;
-        baselines[s].applied = base_manifest.shards[s].applied;
-        baselines[s].rotations = base_manifest.shards[s].rotations;
-        baselines[s].chain = static_cast<uint32_t>(
-            base_manifest.shards[s].files.size() - 1);
-      }
-    }
-    std::vector<ShardFrame> frames;
-    uint64_t total_applied = 0;
-    Status s = CaptureFramesLocked(baselines, kMaxDeltaChain, &frames,
-                                   &total_applied);
-    if (!s.ok()) return s;
-
-    const uint64_t gen = (gens.empty() ? 0 : gens.front()) + 1;
-    // Each shard's manifest record: the baseline chain carried forward,
-    // overridden by whatever this generation captured for it.
-    std::vector<ManifestShard> records(shards_.size());
-    if (have_base) records = base_manifest.shards;
-    for (ShardFrame& frame : frames) {
-      ManifestShard& record = records[frame.shard];
-      record.applied = frame.applied;
-      record.rotations = frame.rotations;
-      frame_bytes += frame.bytes.size();
-      if (frame.delta) {
-        ++delta_frames;
-      } else {
-        ++full_frames;
-      }
-      if (frame.delta) {
-        record.files.push_back(ShardDeltaFileName(frame.shard, gen));
-      } else {
-        record.files.clear();
-        record.files.push_back(ShardFullFileName(frame.shard, gen));
-      }
-      s = DurableWriteFile(
-          (std::filesystem::path(dir) / record.files.back()).string(),
-          std::span<const uint8_t>(frame.bytes));
-      if (!s.ok()) return s;
-    }
-    // The manifest goes last: until its durable rename lands, Restore
-    // still resolves to the previous generation, so a crash at any
-    // earlier write point costs nothing.
-    std::ostringstream text;
-    text << kManifestHeader << "\n"
-         << "algorithm=" << options_.algorithm << "\n"
-         << "num_shards=" << shards_.size() << "\n"
-         << "generation=" << gen << "\n"
-         << "items_processed=" << total_applied << "\n";
-    for (size_t sh = 0; sh < records.size(); ++sh) {
-      text << "shard=" << sh << ' ' << records[sh].applied << ' '
-           << records[sh].rotations << ' ';
-      for (size_t f = 0; f < records[sh].files.size(); ++f) {
-        if (f != 0) text << '+';
-        text << records[sh].files[f];
-      }
-      text << "\n";
-    }
-    s = DurableWriteFile(
-        (std::filesystem::path(dir) / ManifestFileName(gen)).string(),
-        text.str());
-    if (!s.ok()) return s;
-    PruneCheckpoints(dir);
-    return Status::Ok();
+    return s.ok() ? WriteCheckpointGeneration(dir, frames, &next) : s;
   });
   if (result.ok()) {
+    uint64_t frame_bytes = 0;
+    uint64_t delta_frames = 0;
+    for (const ShardFrame& frame : frames) {
+      frame_bytes += frame.bytes.size();
+      delta_frames += frame.delta ? 1 : 0;
+    }
     obs::GetCounter("l1hh_io_checkpoints_total",
-                    std::string("kind=\"") + kind + "\"")
+                    incremental ? "kind=\"delta\"" : "kind=\"full\"")
         ->Inc();
     obs::GetCounter("l1hh_io_checkpoint_frames_total", "kind=\"full\"")
-        ->Inc(full_frames);
+        ->Inc(frames.size() - delta_frames);
     obs::GetCounter("l1hh_io_checkpoint_frames_total", "kind=\"delta\"")
         ->Inc(delta_frames);
     obs::GetCounter("l1hh_io_checkpoint_bytes_total")->Inc(frame_bytes);
     obs::GetHistogram("l1hh_io_checkpoint_ns")
         ->Observe(obs::TraceRing::NowNs() - t0);
     obs::Trace(obs::Severity::kInfo, "checkpoint.commit",
-               static_cast<int64_t>(full_frames + delta_frames),
+               static_cast<int64_t>(frames.size()),
                static_cast<int64_t>(frame_bytes));
   } else {
     obs::GetCounter("l1hh_io_checkpoint_failures_total")->Inc();
@@ -1096,93 +796,24 @@ Status ShardedEngine::CheckpointDelta(const std::string& dir) {
 std::unique_ptr<ShardedEngine> ShardedEngine::Restore(
     const std::string& dir, const ShardedEngineOptions& exec,
     Status* status) {
-  auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
-    if (status != nullptr) *status = std::move(s);
-    return nullptr;
-  };
-  const std::vector<uint64_t> gens = ListManifestGenerations(dir);
-  if (gens.empty()) {
-    return fail(Status::InvalidArgument(
-        "'" + dir + "' is not a checkpoint directory (no " +
-        kManifestPrefix + "<gen>)"));
-  }
-  // Newest complete generation wins: any failure inside a generation —
-  // torn manifest, missing or corrupt chain file, inconsistent clocks —
-  // falls back to the next older one, so a crash mid-checkpoint costs at
-  // most the work since the previous checkpoint, never the directory.
-  Status newest_error;
-  for (const uint64_t gen : gens) {
-    Status attempt;
-    auto engine = RestoreGeneration(dir, gen, exec, &attempt);
-    if (engine != nullptr) {
-      if (status != nullptr) *status = Status::Ok();
-      return engine;
-    }
-    // This generation was torn or corrupt; fall back to the next older
-    // one (counted so operators can see silent data-loss near-misses).
-    obs::GetCounter("l1hh_io_restore_fallbacks_total")->Inc();
-    obs::Trace(obs::Severity::kWarn, "checkpoint.fallback",
-               static_cast<int64_t>(gen));
-    if (newest_error.ok()) newest_error = std::move(attempt);
-  }
-  return fail(std::move(newest_error));
-}
-
-std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
-    const std::string& dir, uint64_t generation,
-    const ShardedEngineOptions& exec, Status* status) {
-  auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
-    if (status != nullptr) *status = std::move(s);
-    return nullptr;
-  };
-  const std::string manifest_path =
-      (std::filesystem::path(dir) / ManifestFileName(generation)).string();
-  Manifest manifest;
-  Status parsed = ParseManifestFile(manifest_path, &manifest);
-  if (!parsed.ok()) return fail(std::move(parsed));
-
-  std::vector<std::unique_ptr<Summary>> loaded;
-  loaded.reserve(manifest.shards.size());
-  for (size_t sh = 0; sh < manifest.shards.size(); ++sh) {
-    const ManifestShard& record = manifest.shards[sh];
-    Status load_status;
-    auto summary = LoadSummaryFromFile(
-        (std::filesystem::path(dir) / record.files[0]).string(),
-        &load_status);
-    if (summary == nullptr) return fail(std::move(load_status));
-    // Replay the delta chain in manifest order; every delta's embedded
-    // base clocks must match the state the previous file replayed to
-    // (ApplyTail enforces it), so a chain spliced across checkpoints is
-    // a Corruption here, not a silently wrong window.
-    for (size_t f = 1; f < record.files.size(); ++f) {
-      const Status applied = ApplySummaryDeltaFromFile(
-          (std::filesystem::path(dir) / record.files[f]).string(),
-          summary.get());
-      if (!applied.ok()) return fail(applied);
-    }
-    if (summary->ItemsProcessed() != record.applied) {
-      return fail(Status::Corruption(
-          "shard " + std::to_string(sh) + " chain replays to " +
-          std::to_string(summary->ItemsProcessed()) +
-          " items, manifest '" + manifest_path + "' says " +
-          std::to_string(record.applied)));
-    }
-    if (const auto* window =
-            dynamic_cast<const SlidingWindowSummary*>(summary.get());
-        window != nullptr && window->rotations() != record.rotations) {
-      return fail(Status::Corruption(
-          "shard " + std::to_string(sh) + " chain replays to " +
-          std::to_string(window->rotations()) + " rotations, manifest '" +
-          manifest_path + "' says " + std::to_string(record.rotations)));
-    }
-    loaded.push_back(std::move(summary));
-  }
-  // Start runs the set checks a replica round also passes: one
-  // algorithm, one seed, lockstep windows (engine/shard_set.h).
-  ShardedEngineOptions options = exec;
-  options.algorithm = manifest.algorithm;
-  options.summary = loaded[0]->Options();
-  return Start(options, std::move(loaded), status);
+  std::unique_ptr<ShardedEngine> engine;
+  Status restored = RestoreNewestGeneration(
+      dir, [&](const Manifest& manifest,
+               const std::vector<ShardFrame>& frames) {
+        std::vector<std::unique_ptr<Summary>> shards(manifest.shards.size());
+        StagedShardSet staged(&shards);
+        // A refusal sticks: Commit returns the first one.
+        for (const ShardFrame& frame : frames) staged.Apply(frame);
+        Status s = staged.Commit(manifest.algorithm, manifest.items_processed);
+        if (!s.ok()) return s;
+        ShardedEngineOptions options = exec;
+        options.algorithm = manifest.algorithm;
+        options.summary = shards[0]->Options();
+        engine = Start(options, std::move(shards), &s);
+        return s;
+      });
+  if (status != nullptr) *status = std::move(restored);
+  return engine;
 }
 
 std::unique_ptr<ShardedEngine> ShardedEngine::Restore(const std::string& dir,

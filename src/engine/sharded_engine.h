@@ -122,30 +122,6 @@ struct ShardedEngineOptions {
   size_t max_producers = 1;
 };
 
-/// What a checkpoint consumer (the on-disk manifest, or a replica's sync
-/// protocol) already holds for one shard: the clocks of the shard state it
-/// has, and how many deltas are already chained onto its base snapshot.
-/// CaptureFrames compares these against the live clocks to decide, per
-/// shard, between no frame (clean), a delta frame, or a full frame.
-struct ShardBaseline {
-  bool valid = false;      // false: nothing held; always emit a full frame
-  uint64_t applied = 0;    // shard items applied at the baseline
-  uint64_t rotations = 0;  // shard window rotations at the baseline (0 when
-                           // the algorithm is not windowed)
-  uint32_t chain = 0;      // deltas already stacked on the baseline's base
-};
-
-/// One captured shard state: a full snapshot container ("L1HHSNAP") or a
-/// delta container ("L1HHDELT") chained onto the caller's baseline, plus
-/// the clocks the bytes advance the shard to.
-struct ShardFrame {
-  size_t shard = 0;
-  bool delta = false;
-  uint64_t applied = 0;    // shard items applied after this frame
-  uint64_t rotations = 0;  // shard rotations after this frame
-  std::vector<uint8_t> bytes;
-};
-
 /// Point-in-time telemetry snapshot for ONE engine instance, for in-process
 /// callers (the process-wide obs::Registry aggregates across instances; this
 /// struct is the per-engine view).  Counter semantics:
@@ -291,32 +267,21 @@ class ShardedEngine {
 
   // ---- Checkpoint / Restore (docs/SNAPSHOTS.md, docs/ENGINE.md) ---------
 
-  /// Flush-quiesces, parks the workers, then writes a restartable FULL
-  /// checkpoint into `dir` (created if missing): one self-describing
-  /// snapshot file per shard (src/io/snapshot.h) plus a generation-
-  /// numbered MANIFEST.<gen> recording the algorithm, the shard count,
-  /// and each shard's clocks and file chain.  Every file goes through
-  /// the crash-safe write-tmp/fsync/rename protocol and the manifest is
-  /// written last, so a crash at ANY point leaves the previous
-  /// generation intact and restorable — never a torn or mixed-epoch
-  /// checkpoint.  The newest and previous generations are retained;
-  /// older manifests and the files only they referenced are pruned.
-  /// Safe from any thread, even with live producers (the checkpoint
-  /// captures the flushed prefix).  I/O failures are Status::IOError.
+  /// Flush-quiesces, parks the workers, captures every shard as a full
+  /// frame and writes them into `dir` (created if missing) as a new
+  /// checkpoint generation (src/io/checkpoint.h): crash-safe at every
+  /// write point, since the manifest lands last and the previous
+  /// generation stays restorable.  Safe from any thread, even with live
+  /// producers (it captures the flushed prefix).  I/O failures are
+  /// Status::IOError.
   Status Checkpoint(const std::string& dir);
 
-  /// Incremental checkpoint: like Checkpoint, but reads the newest
-  /// complete manifest in `dir` and writes only what changed since it.
-  /// A shard whose clocks did not move keeps its existing file chain
-  /// verbatim (no bytes written); a dirty windowed shard whose tail
-  /// still fits the ring appends one delta container to its chain; a
-  /// dirty plain shard — or a chain past kMaxDeltaChain, or a window
-  /// that rotated a full ring — falls back to a fresh full snapshot.
-  /// The new MANIFEST.<gen> is self-contained: it lists each shard's
-  /// complete chain (base + deltas), so Restore never consults older
-  /// manifests.  With no prior manifest this IS a full checkpoint.
-  /// After touching 1 of K shards the checkpoint writes O(1 shard)
-  /// bytes + one manifest (tests/checkpoint_fault_test.cc pins this).
+  /// Like Checkpoint, but captures against the newest readable manifest
+  /// in `dir`: a clean shard keeps its chain (no bytes written), a dirty
+  /// windowed shard whose tail fits its ring appends a delta, anything
+  /// else is rewritten in full.  With no prior manifest this IS a full
+  /// checkpoint.  Touching 1 of K shards writes O(1 shard) bytes + one
+  /// manifest (tests/checkpoint_fault_test.cc pins this).
   Status CheckpointDelta(const std::string& dir);
 
   /// Deltas chained onto one base before CheckpointDelta rewrites the
@@ -324,34 +289,26 @@ class ShardedEngine {
   /// a chain's on-disk footprint.
   static constexpr uint32_t kMaxDeltaChain = 12;
 
-  /// Flush-quiesces, parks the workers, and captures each shard's state
-  /// as an in-memory frame against `baselines` (what the consumer
-  /// already holds): clean shards emit nothing, dirty windowed shards
-  /// within `max_delta_chain` emit a delta container, everything else a
-  /// full snapshot container.  Pass an empty vector for a cold consumer
-  /// (all full frames).  `*total_applied` gets the global applied count
-  /// the frames bring the consumer to.  This is the shared capture step
-  /// behind CheckpointDelta and the replication stream in
-  /// tools/l1hh_serve.cc.  Safe from any thread.
+  /// Flush-quiesces, parks the workers, and captures each shard as a
+  /// frame against `baselines` (empty: a cold consumer, all full frames):
+  /// clean shards emit nothing, dirty windowed shards within
+  /// `max_delta_chain` a delta, everything else a full snapshot.
+  /// `*total_applied` gets the global applied count the frames reach.
+  /// The capture behind checkpoints and replication.  Safe from any thread.
   Status CaptureFrames(const std::vector<ShardBaseline>& baselines,
                        uint32_t max_delta_chain,
                        std::vector<ShardFrame>* frames,
                        uint64_t* total_applied);
 
-  /// Rebuilds an engine from a Checkpoint directory and resumes ingestion
-  /// exactly where it left off: same algorithm, same per-shard options and
-  /// seed (read from the shard snapshot headers), same shard count, and
-  /// per-shard summaries restored bit-exactly — continuing the run is
-  /// indistinguishable from never having stopped.  Generations are tried
-  /// newest-first: if the newest manifest or any file it references is
-  /// missing, truncated, or corrupt, Restore falls back to the previous
-  /// complete generation, so a crash mid-checkpoint (or a stale manifest
-  /// over a lost delta) costs at most one checkpoint of progress, never
-  /// the directory.  `exec` supplies only the execution knobs
-  /// (num_threads, queue_capacity, drain_batch, max_producers); its
-  /// algorithm/summary/num_shards fields are ignored in favor of the
-  /// checkpoint's.  Returns nullptr with the reason in *status when no
-  /// generation is restorable.
+  /// Rebuilds an engine from the newest restorable generation of a
+  /// Checkpoint directory and resumes ingestion exactly where it left
+  /// off: the chains go through the shard-set applier (StagedShardSet),
+  /// so the algorithm, options and seed come from the snapshots, and the
+  /// shards must match the manifest's clocks and item total.  A missing,
+  /// corrupt or inconsistent generation falls back to the previous one.
+  /// `exec` supplies only the execution knobs (num_threads,
+  /// queue_capacity, drain_batch, max_producers).  Returns nullptr with
+  /// the reason in *status when no generation is restorable.
   static std::unique_ptr<ShardedEngine> Restore(
       const std::string& dir, const ShardedEngineOptions& exec,
       Status* status = nullptr);
@@ -471,8 +428,8 @@ class ShardedEngine {
                              std::vector<ShardFrame>* frames,
                              uint64_t* total_applied);
   // Shared Checkpoint / CheckpointDelta body: capture frames against the
-  // newest on-disk manifest (when `incremental`), write the changed
-  // files, seal the new generation with its manifest, prune old ones.
+  // newest on-disk manifest (when `incremental`) and write them as a new
+  // generation (io/checkpoint.h).
   Status WriteCheckpoint(const std::string& dir, bool incremental);
   // The one route from a shard set to a running engine, for Create and
   // Restore: refuses an out-of-range max_producers or a set that fails
@@ -482,11 +439,6 @@ class ShardedEngine {
   static std::unique_ptr<ShardedEngine> Start(
       ShardedEngineOptions options,
       std::vector<std::unique_ptr<Summary>> summaries, Status* status);
-  // One restore attempt against generation `generation` of `dir`; Restore
-  // walks generations newest-first until one succeeds.
-  static std::unique_ptr<ShardedEngine> RestoreGeneration(
-      const std::string& dir, uint64_t generation,
-      const ShardedEngineOptions& exec, Status* status);
 
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -8,7 +8,9 @@
 //   * stray .tmp leftovers are invisible to Restore and collected by the
 //     next successful checkpoint;
 //   * a manifest whose referenced files are missing (a "stale" higher
-//     generation) falls back to the previous complete generation;
+//     generation), or whose items_processed= or generation= disagrees
+//     with its chains or its name, falls back to the previous complete
+//     generation;
 //   * an incremental checkpoint after touching 1 of K shards writes O(one
 //     shard) bytes, not O(K);
 //   * a chain of delta checkpoints restores to exactly the live engine's
@@ -307,6 +309,55 @@ TEST(CheckpointFaultTest, ManifestOverMissingFilesFallsBackToPreviousGen) {
 
 // Touching 1 of K shards and delta-checkpointing writes bytes for that
 // one shard plus a manifest — the clean shards' files are not rewritten.
+// A newest manifest whose declared totals were edited is not a
+// checkpoint we wrote: items_processed= must equal what its chains
+// replay to, and generation= must name its own file.
+TEST(CheckpointFaultTest, ManifestWithEditedTotalsFallsBackToPreviousGen) {
+  const auto stream = TestStream();
+  ShardedEngineOptions opt;
+  opt.algorithm = "count_min";
+  opt.summary = Options();
+  opt.num_shards = 2;
+  Status status;
+  auto engine = ShardedEngine::Create(opt, &status);
+  ASSERT_NE(engine, nullptr) << status.ToString();
+
+  const std::string dir = testing::TempDir() + "/edited_manifest";
+  std::filesystem::remove_all(dir);
+  engine->UpdateBatch({stream.data(), 10000});
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  const uint64_t gen1_items = engine->ItemsProcessed();
+  engine->UpdateBatch({stream.data() + 10000, 3000});
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  const uint64_t gen2_items = engine->ItemsProcessed();
+
+  const std::string manifest_path = dir + "/MANIFEST.000002";
+  std::string original;
+  {
+    std::ifstream in(manifest_path);
+    original.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto restored = ShardedEngine::Restore(dir, &status);
+  ASSERT_NE(restored, nullptr) << status.ToString();
+  EXPECT_EQ(restored->ItemsProcessed(), gen2_items);
+
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"items_processed=" + std::to_string(gen2_items),
+            "items_processed=" + std::to_string(gen2_items + 1)},
+           {"generation=2", "generation=7"}}) {
+    SCOPED_TRACE(to);
+    std::string edited = original;
+    const size_t at = edited.find(from + "\n");
+    ASSERT_NE(at, std::string::npos) << edited;
+    edited.replace(at, from.size(), to);
+    std::ofstream(manifest_path, std::ios::trunc) << edited;
+    restored = ShardedEngine::Restore(dir, &status);
+    ASSERT_NE(restored, nullptr) << status.ToString();
+    EXPECT_EQ(restored->ItemsProcessed(), gen1_items);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointFaultTest, DeltaCheckpointWritesOneDirtyShardOnly) {
   const auto stream = TestStream();
   ShardedEngineOptions opt;

@@ -502,11 +502,13 @@ std::vector<uint8_t> ShardFrame(const std::string& algorithm, uint64_t seed,
 }
 
 // One scripted sync round: full frames (shard, bytes), then "rsync
-// <items>" — or, when `torn`, a hang-up right after the frames.
+// <items>" — or, when `torn`, a hang-up right after the frames. Each frame
+// header carries the clocks of its bytes, plus `clock_skew` items.
 struct ScriptedRound {
   std::vector<std::pair<size_t, std::vector<uint8_t>>> frames;
   uint64_t items = 0;
   bool torn = false;
+  uint64_t clock_skew = 0;
 };
 
 // Runs a fake K=2 `exact` primary on `primary_sock` that answers the
@@ -531,8 +533,14 @@ pid_t RunScriptedPrimary(const std::string& primary_sock,
       for (size_t r = 0; r < rounds.size(); ++r) {
         if (r > 0 && (!reader.ReadLine(&line) || line != "sync")) break;
         for (const auto& [shard, bytes] : rounds[r].frames) {
-          serve::WriteLine(fd, "frame full " + std::to_string(shard) + " " +
-                                   std::to_string(bytes.size()));
+          SnapshotInfo info;
+          EXPECT_TRUE(ReadSnapshotInfo(bytes, &info).ok());
+          serve::WriteLine(
+              fd, "frame full " + std::to_string(shard) + " " +
+                      std::to_string(bytes.size()) + " " +
+                      std::to_string(info.items_processed +
+                                     rounds[r].clock_skew) +
+                      " 0");
           serve::WriteAll(fd, reinterpret_cast<const char*>(bytes.data()),
                           bytes.size());
         }
@@ -601,22 +609,31 @@ TEST(ReplicationTest, PrimaryDeathMidRoundKeepsLastCommittedRound) {
 }
 
 // A complete round whose shard 1 cannot join shard 0 — built with another
-// seed, or holding another algorithm than rconf's — is refused whole,
-// and round 1 keeps serving.
+// seed, or holding another algorithm than rconf's — is refused whole, and
+// so is one whose rsync total or frame clocks disagree with its frames;
+// round 1 keeps serving.
 TEST(ReplicationTest, StandbyRefusesRoundThatFailsShardSetChecks) {
-  for (const auto& [algorithm, seed] :
-       std::vector<std::pair<std::string, uint64_t>>{{"exact", 2},
-                                                     {"misra_gries", 1}}) {
-    SCOPED_TRACE(algorithm + " seed " + std::to_string(seed));
-    ScriptedRound foreign;
-    foreign.frames.emplace_back(0, ShardFrame("exact", 1, 7, 400));
-    foreign.frames.emplace_back(1, ShardFrame(algorithm, seed, 9, 80));
-    foreign.items = 480;
+  const auto round = [](const std::string& algorithm, uint64_t seed,
+                        uint64_t items, uint64_t clock_skew) {
+    ScriptedRound refused;
+    refused.frames.emplace_back(0, ShardFrame("exact", 1, 7, 400));
+    refused.frames.emplace_back(1, ShardFrame(algorithm, seed, 9, 80));
+    refused.items = items;
+    refused.clock_skew = clock_skew;
+    return refused;
+  };
+  for (const auto& [name, refused] :
+       std::vector<std::pair<std::string, ScriptedRound>>{
+           {"exact seed 2", round("exact", 2, 480, 0)},
+           {"misra_gries seed 1", round("misra_gries", 1, 480, 0)},
+           {"rsync 999 over 480 items", round("exact", 1, 999, 0)},
+           {"frame clocks one item ahead", round("exact", 1, 480, 1)}}) {
+    SCOPED_TRACE(name);
     const std::string replica_sock =
         testing::TempDir() + "/repl_foreign_standby.sock";
     const pid_t replica =
         RunScriptedPrimary(testing::TempDir() + "/repl_foreign_primary.sock",
-                           replica_sock, {FirstRound(), foreign});
+                           replica_sock, {FirstRound(), refused});
     ASSERT_GT(replica, 0);
     ExpectServesFirstRound(replica_sock, replica);
   }

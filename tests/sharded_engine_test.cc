@@ -17,6 +17,7 @@
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/summary.h"
+#include "util/random.h"
 #include "window/sliding_window_summary.h"
 
 namespace l1hh {
@@ -572,6 +573,126 @@ TEST(CheckShardSetTest, RefusesImplausibleRotationCount) {
   EXPECT_FALSE(
       CheckShardSet(WindowSet({25, 25}, {3, 3}), "windowed:exact", &rotations)
           .ok());
+}
+
+// ---- The frame applier under hostile frames ----------------------------
+
+// A committed K=2 windowed:exact set (bucket width 250) applied from an
+// engine's full frames at 600 items, and the delta frames that engine
+// captured against them 100 items later.
+struct FrameFixture {
+  std::vector<std::unique_ptr<Summary>> committed;
+  std::vector<ShardFrame> full;
+  std::vector<ShardFrame> deltas;
+  uint64_t full_total = 0;
+  uint64_t delta_total = 0;
+};
+
+Status ApplyRound(std::vector<std::unique_ptr<Summary>>* committed,
+                  const std::vector<ShardFrame>& frames, uint64_t total) {
+  StagedShardSet staged(committed);
+  for (const ShardFrame& frame : frames) {
+    const Status applied = staged.Apply(frame);
+    if (!applied.ok()) return applied;
+  }
+  return staged.Commit("windowed:exact", total);
+}
+
+FrameFixture MakeFrameFixture() {
+  ShardedEngineOptions options = EngineOptions("windowed:exact", 2, 1000);
+  options.summary.window_size = 1000;
+  options.summary.window_buckets = 4;
+  auto engine = ShardedEngine::Create(options);
+  EXPECT_NE(engine, nullptr);
+  FrameFixture f;
+  if (engine == nullptr) return f;
+  std::vector<uint64_t> items(700);
+  for (size_t i = 0; i < items.size(); ++i) items[i] = i % 37;
+  engine->UpdateBatch({items.data(), 600});
+  EXPECT_TRUE(engine->CaptureFrames({}, ShardedEngine::kMaxDeltaChain,
+                                    &f.full, &f.full_total)
+                  .ok());
+  std::vector<ShardBaseline> baselines(2);
+  for (const ShardFrame& frame : f.full) baselines[frame.shard].Advance(frame);
+  engine->UpdateBatch({items.data() + 600, 100});
+  EXPECT_TRUE(engine->CaptureFrames(baselines, ShardedEngine::kMaxDeltaChain,
+                                    &f.deltas, &f.delta_total)
+                  .ok());
+  f.committed.resize(2);
+  EXPECT_TRUE(ApplyRound(&f.committed, f.full, f.full_total).ok());
+  return f;
+}
+
+TEST(StagedShardSetTest, CommitsFullThenDeltaRounds) {
+  FrameFixture f = MakeFrameFixture();
+  ASSERT_EQ(f.full.size(), 2u);
+  ASSERT_EQ(f.deltas.size(), 2u);
+  for (const ShardFrame& frame : f.deltas) EXPECT_TRUE(frame.delta);
+  const Summary* before = f.committed[1].get();
+  // Only shard 0 is framed; shard 1 carries over (its items are in the
+  // total), and the round commits.
+  const std::vector<ShardFrame> one = {f.deltas[0]};
+  const Status status = ApplyRound(
+      &f.committed, one,
+      f.deltas[0].applied + f.committed[1]->ItemsProcessed());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(f.committed[1].get(), before);
+  EXPECT_EQ(f.committed[0]->ItemsProcessed(), f.deltas[0].applied);
+}
+
+// Seeded hostile frames: every case is a non-OK Status, and the committed
+// set is pointer-identical (and unchanged) afterwards.
+TEST(StagedShardSetTest, HostileFramesLeaveTheCommittedSetUntouched) {
+  FrameFixture f = MakeFrameFixture();
+  ASSERT_EQ(f.deltas.size(), 2u);
+  const std::vector<const Summary*> before = {f.committed[0].get(),
+                                              f.committed[1].get()};
+  const auto expect_refused = [&](const std::vector<ShardFrame>& frames,
+                                  uint64_t total, const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_FALSE(ApplyRound(&f.committed, frames, total).ok());
+    ASSERT_EQ(f.committed.size(), 2u);
+    EXPECT_EQ(f.committed[0].get(), before[0]);
+    EXPECT_EQ(f.committed[1].get(), before[1]);
+    EXPECT_EQ(before[0]->ItemsProcessed() + before[1]->ItemsProcessed(),
+              f.full_total);
+  };
+  Rng rng(20161603);
+  for (int trial = 0; trial < 24; ++trial) {
+    for (const bool delta : {false, true}) {
+      const std::vector<ShardFrame>& round = delta ? f.deltas : f.full;
+      const uint64_t total = delta ? f.delta_total : f.full_total;
+      const size_t victim = rng.UniformU64(round.size());
+      const size_t size = round[victim].bytes.size();
+      std::vector<ShardFrame> frames = round;
+      frames[victim].bytes.resize(rng.UniformU64(size));
+      expect_refused(frames, total, "truncated");
+      frames = round;
+      frames[victim].bytes[rng.UniformU64(size)] ^=
+          static_cast<uint8_t>(1u << rng.UniformU64(8));
+      expect_refused(frames, total, "bit flip");
+    }
+  }
+  std::vector<std::unique_ptr<Summary>> cold(2);
+  EXPECT_FALSE(ApplyRound(&cold, f.deltas, f.delta_total).ok());
+  EXPECT_EQ(cold[0], nullptr);
+  EXPECT_EQ(cold[1], nullptr);
+
+  std::vector<ShardFrame> frames = f.deltas;
+  frames.push_back(f.deltas[0]);  // its base is now behind shard 0
+  expect_refused(frames, f.delta_total, "delta against the wrong base");
+  frames = f.full;
+  frames[1].shard = 2;
+  expect_refused(frames, f.full_total, "shard index >= K");
+  for (const int64_t skew : {-1, 1}) {
+    frames = f.deltas;
+    frames[0].applied += skew;
+    expect_refused(frames, f.delta_total, "applied clock off by one");
+    frames = f.deltas;
+    frames[1].rotations += skew;
+    expect_refused(frames, f.delta_total, "rotation clock off by one");
+    expect_refused(f.deltas, f.delta_total + skew, "total off by one");
+  }
 }
 
 }  // namespace

@@ -395,11 +395,10 @@ int CmdHeavy(const Args& a, const std::vector<uint64_t>& items) {
   }
   summary->UpdateColumn(items.data(), items.size());
   const auto hitters = summary->HeavyHitters(a.phi);
-  // Windowed: the report (and its percentages) cover the ring's suffix,
-  // not the whole stream.  CoveredItems == ItemsProcessed for plain
-  // structures, so the generic surface handles both.
+  // Percentages are over the items held (the ring's suffix when windowed,
+  // else every item read), not over --m, which only sizes the summary.
   const bool windowed = IsWindowedSummaryName(summary->Name());
-  const uint64_t over = windowed ? summary->CoveredItems() : m;
+  const uint64_t over = summary->CoveredItems();
   std::printf("# %s: %zu heavy hitters at phi=%.3f over %s%llu items "
               "(%zu bytes)\n",
               a.algorithm.c_str(), hitters.size(), a.phi,

@@ -1,13 +1,12 @@
 // l1hh_replica — warm standby for an l1hh_serve primary.
 //
 // Connects to a primary's Unix socket, full-syncs once ("replicate"),
-// then tails incremental "sync" rounds every --interval-ms. Every frame
-// is CRC-validated and clock-checked by the snapshot layer, and a round
-// commits as a whole only once its shard set passes the same checks as
-// an engine Restore, so a torn, reordered or foreign frame is a refused
-// round, never a silently wrong standby. It serves the shared query
-// verbs on its own socket and keeps serving after the primary dies,
-// answering from the last committed round.
+// then tails incremental "sync" rounds every --interval-ms. Each round
+// goes through the frame applier an engine Restore uses (StagedShardSet,
+// engine/shard_set.h), so a torn, reordered, miscounted or foreign frame
+// is a refused round, never a silently wrong standby. It serves the
+// shared query verbs on its own socket and keeps serving after the
+// primary dies, answering from the last committed round.
 //
 //   l1hh_replica --primary=/tmp/l1hh.sock --socket=/tmp/l1hh-replica.sock
 //       [--interval-ms=200] [--phi=0.05] [--http=PORT] [--ready-lag=65536]
@@ -36,7 +35,6 @@
 #include <unistd.h>
 
 #include "engine/shard_set.h"
-#include "io/snapshot.h"
 #include "obs/audit.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -117,11 +115,9 @@ struct ReplicaState {
   MergedViewCache view{"l1hh_replica_view"};
 };
 
-// The warm-standby health signal: primary items at the last committed
-// rsync minus the items its shards hold.  A round commits its shards and
-// its item count together, so against an honest primary this reads 0
-// after every commit; the clamp keeps a primary whose rsync undercounts
-// its frames from reporting a bogus negative lag.  Also published as the
+// The warm-standby health signal: rsync items at the last commit minus the
+// items its shards hold — 0 after every commit, since a round commits only
+// if its shards sum to its rsync total.  Also published as the
 // l1hh_replica_lag_items gauge.  Caller holds state.mutex.
 uint64_t PublishLagLocked(const ReplicaState& state) {
   uint64_t applied = 0;
@@ -183,76 +179,49 @@ std::string_view NextField(std::string_view* rest) {
   return field;
 }
 
-// Copies a committed shard (SaveSummary -> LoadSummary) so a delta frame
-// can advance the copy while queries keep reading the original.
-std::unique_ptr<Summary> CopyCommittedShard(ReplicaState& state,
-                                            size_t shard, Status* status) {
-  std::vector<uint8_t> bytes;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    if (state.shards[shard] == nullptr) {
-      *status = Status::FailedPrecondition("delta frame before any full frame");
-      return nullptr;
-    }
-    *status = SaveSummary(*state.shards[shard], &bytes);
-  }
-  return status->ok() ? LoadSummary(bytes, status) : nullptr;
-}
-
 // Reads one round off `reader`, up to its closing "rsync <items>", and
-// commits it as a whole. Frames decode into a staged copy of the shard
-// set: a full frame becomes a new summary, and a delta frame advances a
-// copy of the committed shard. An audit block stages its shadow. At
-// rsync the staged set must pass CheckShardSet against the rconf
-// algorithm; only then do shards, items and shadow swap in under
-// state.mutex. A malformed, refused or torn round returns false and
-// leaves the last committed round serving.
-bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
-                    size_t expected_shards) {
+// commits it as a whole: frames go through the applier (decoded outside
+// state.mutex), an audit block stages its shadow, and at rsync the shards,
+// items and shadow swap in together if the applier accepts the round
+// against the rconf algorithm and the rsync total. A malformed, refused
+// or torn round returns false and leaves the last committed round serving.
+bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
   const auto refuse = [](const std::string& why) {
     std::fprintf(stderr, "replica: %s\n", why.c_str());
     return false;
   };
-  std::vector<std::unique_ptr<Summary>> staged(expected_shards);
+  StagedShardSet staged(&state.shards, &state.mutex);
   AuditShadow audit;
   std::string line;
-  std::vector<uint8_t> bytes;
+  ShardFrame frame;
   while (reader.ReadLine(&line)) {
     if (line.rfind("frame ", 0) == 0) {
+      // "frame <full|delta> <shard> <nbytes> <applied> <rotations>"
       std::string_view rest = std::string_view(line).substr(6);
       const std::string_view kind = NextField(&rest);
-      const bool full = kind == "full";
-      uint64_t shard_id = 0;
+      frame.delta = kind == "delta";
+      uint64_t shard = 0;
       uint64_t nbytes = 0;
-      if ((!full && kind != "delta") ||
-          !serve::ParseU64(NextField(&rest), &shard_id) ||
-          !serve::ParseU64(rest, &nbytes) || shard_id >= expected_shards ||
+      if ((!frame.delta && kind != "full") ||
+          !serve::ParseU64(NextField(&rest), &shard) ||
+          !serve::ParseU64(NextField(&rest), &nbytes) ||
+          !serve::ParseU64(NextField(&rest), &frame.applied) ||
+          !serve::ParseU64(rest, &frame.rotations) ||
           nbytes > serve::kMaxFrameBytes) {
         return refuse("malformed frame header '" + line + "'");
       }
-      const size_t shard = static_cast<size_t>(shard_id);
-      bytes.resize(static_cast<size_t>(nbytes));
-      if (!reader.ReadExact(reinterpret_cast<char*>(bytes.data()),
-                            bytes.size())) {
+      frame.shard = static_cast<size_t>(shard);  // the applier checks < K
+      frame.bytes.resize(static_cast<size_t>(nbytes));
+      if (!reader.ReadExact(reinterpret_cast<char*>(frame.bytes.data()),
+                            frame.bytes.size())) {
         return false;
       }
       obs::GetCounter("l1hh_replica_frames_total",
-                      full ? "kind=\"full\"" : "kind=\"delta\"")
+                      frame.delta ? "kind=\"delta\"" : "kind=\"full\"")
           ->Inc();
-      Status status;
-      if (full) {
-        staged[shard] = LoadSummary(bytes, &status);
-      } else {
-        if (staged[shard] == nullptr) {
-          staged[shard] = CopyCommittedShard(state, shard, &status);
-        }
-        if (staged[shard] != nullptr) {
-          status = ApplySummaryDelta(bytes, staged[shard].get());
-        }
-      }
-      if (!status.ok()) {
-        return refuse("refused " + std::string(kind) + " frame for shard " +
-                      std::to_string(shard) + ": " + status.ToString());
+      const Status applied = staged.Apply(frame);
+      if (!applied.ok()) {
+        return refuse("refused frame '" + line + "': " + applied.ToString());
       }
       continue;
     }
@@ -287,35 +256,21 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader,
       if (!serve::ParseU64(std::string_view(line).substr(6), &items)) {
         return refuse("malformed rsync '" + line + "'");
       }
-      std::lock_guard<std::mutex> lock(state.mutex);
-      // Shards without a frame this round carry over from the committed
-      // set; they go back if the round is refused.
-      std::vector<bool> carried(expected_shards, false);
-      for (size_t s = 0; s < expected_shards; ++s) {
-        if (staged[s] == nullptr) {
-          staged[s].swap(state.shards[s]);
-          carried[s] = true;
-        }
+      const Status committed =
+          staged.Commit(state.algorithm, items, [&](uint64_t rotations) {
+            state.rotations = rotations;
+            state.audit = std::move(audit);
+            state.items = items;
+            ++state.syncs;
+            PublishLagLocked(state);
+          });
+      if (!committed.ok()) {
+        return refuse("refused sync round: " + committed.ToString());
       }
-      uint64_t rotations = 0;
-      const Status checked =
-          CheckShardSet(staged, state.algorithm, &rotations);
-      if (!checked.ok()) {
-        for (size_t s = 0; s < expected_shards; ++s) {
-          if (carried[s]) state.shards[s].swap(staged[s]);
-        }
-        return refuse("refused sync round: " + checked.ToString());
-      }
-      state.shards.swap(staged);
-      state.rotations = rotations;
-      state.audit = std::move(audit);
-      state.items = items;
-      ++state.syncs;
       obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
-      PublishLagLocked(state);
       obs::Trace(obs::Severity::kDebug, "replica.sync",
                  static_cast<int64_t>(state.syncs),
-                 static_cast<int64_t>(state.items));
+                 static_cast<int64_t>(items));
       return true;
     }
     return refuse("unexpected line from primary: '" + line + "'");
@@ -371,7 +326,7 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
     state.shards.resize(static_cast<size_t>(shards));
     state.algorithm = algo;
   }
-  if (!DrainSyncRound(state, reader, static_cast<size_t>(shards))) {
+  if (!DrainSyncRound(state, reader)) {
     ::close(fd);
     return;
   }
@@ -388,7 +343,7 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
     std::this_thread::sleep_for(std::chrono::milliseconds(args.interval_ms));
     if (listener.stopping()) break;
     if (!serve::WriteLine(fd, "sync") ||
-        !DrainSyncRound(state, reader, static_cast<size_t>(shards))) {
+        !DrainSyncRound(state, reader)) {
       break;  // primary gone: stop syncing, keep serving (failover)
     }
   }

@@ -199,20 +199,20 @@ bool SendSyncRound(int fd, ShardedEngine& engine,
     }
   }
   for (const ShardFrame& frame : frames) {
+    // The clocks let the follower check the decoded shard.
     const std::string header =
         std::string("frame ") + (frame.delta ? "delta" : "full") + " " +
-        std::to_string(frame.shard) + " " + std::to_string(frame.bytes.size());
+        std::to_string(frame.shard) + " " +
+        std::to_string(frame.bytes.size()) + " " +
+        std::to_string(frame.applied) + " " +
+        std::to_string(frame.rotations);
     if (!serve::WriteLine(fd, header) ||
         !serve::WriteAll(fd, reinterpret_cast<const char*>(frame.bytes.data()),
                          frame.bytes.size())) {
       return false;
     }
     // The follower now holds this state; the next sync diffs against it.
-    ShardBaseline& baseline = (*baselines)[frame.shard];
-    baseline.chain = frame.delta ? baseline.chain + 1 : 0;
-    baseline.valid = true;
-    baseline.applied = frame.applied;
-    baseline.rotations = frame.rotations;
+    (*baselines)[frame.shard].Advance(frame);
   }
   if (auditor != nullptr) {
     // Ship exact shadow truth alongside the frames, so the follower can
