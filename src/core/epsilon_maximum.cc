@@ -68,13 +68,14 @@ void EpsilonMaximum::Insert(ItemId item) {
 HeavyHitter EpsilonMaximum::Report() const {
   HeavyHitter hh;
   if (!has_max_ || sampled_ == 0) return hh;
-  const double scale = static_cast<double>(opt_.stream_length) /
-                       static_cast<double>(sampled_);
+  // Scale by the items actually processed, not the configured length, so
+  // the estimate holds when the stream is shorter or longer than m.
+  const double processed = static_cast<double>(position_);
+  const double scale = processed / static_cast<double>(sampled_);
   hh.item = max_item_;
   hh.estimated_count =
       static_cast<double>(table_.EstimateByHash(max_item_)) * scale;
-  hh.estimated_fraction =
-      hh.estimated_count / static_cast<double>(opt_.stream_length);
+  hh.estimated_fraction = hh.estimated_count / processed;
   return hh;
 }
 

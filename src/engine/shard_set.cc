@@ -192,10 +192,8 @@ Status MergedViewCache::View(ShardSpan shards, uint64_t items,
     *view = shards[0].get();
     return Status::Ok();
   }
-  if (merged_ != nullptr && items == items_ && rotations == rotations_) {
-    *view = merged_.get();
-    return Status::Ok();
-  }
+  *view = Cached(shards.size(), items, rotations);
+  if (*view != nullptr) return Status::Ok();
   obs::ScopedPhase phase("merge_rebuild");  // only the cache-miss branch
   const bool obs_on = obs::Enabled();
   const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
@@ -219,6 +217,13 @@ Status MergedViewCache::View(ShardSpan shards, uint64_t items,
   }
   *view = merged_.get();
   return Status::Ok();
+}
+
+const Summary* MergedViewCache::Cached(size_t num_shards, uint64_t items,
+                                      uint64_t rotations) const {
+  const bool hit = num_shards > 1 && merged_ != nullptr && items == items_ &&
+                   rotations == rotations_;
+  return hit ? merged_.get() : nullptr;
 }
 
 size_t MergedViewCache::MemoryUsageBytes() const {

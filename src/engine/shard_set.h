@@ -48,6 +48,11 @@ struct ShardBaseline {
   uint64_t rotations = 0;  // shard window rotations (0 when not windowed)
   uint32_t chain = 0;      // deltas already stacked on the baseline's base
 
+  /// True when the consumer already holds a shard at these clocks.
+  bool Holds(uint64_t live_applied, uint64_t live_rotations) const {
+    return valid && applied == live_applied && rotations == live_rotations;
+  }
+
   /// The state a consumer holds once it has applied `frame`.
   void Advance(const ShardFrame& frame) {
     *this = {true, frame.applied, frame.rotations,
@@ -117,6 +122,13 @@ class MergedViewCache {
   /// drops the cache and returns its Status.
   Status View(ShardSpan shards, uint64_t items, uint64_t rotations,
               const Summary** view);
+
+  /// The merge cached for `num_shards` shards at exactly (items,
+  /// rotations), or null. It is an object of its own, so it can be read
+  /// while the shards change; a lone shard is its own view and never
+  /// cached.
+  const Summary* Cached(size_t num_shards, uint64_t items,
+                        uint64_t rotations) const;
 
   /// Bytes held by the cached merge (0 when none is cached).
   size_t MemoryUsageBytes() const;

@@ -42,6 +42,10 @@ class IdleBackoff {
 // the slot count so a typo cannot request terabytes of rings.
 constexpr size_t kMaxProducerSlots = 4096;
 
+// The `unchanged` test of a ShardedEngine::Parked caller that always reads
+// the shard summaries.
+constexpr auto kAlwaysPark = [] { return false; };
+
 }  // namespace
 
 // ---- Producer handle --------------------------------------------------
@@ -558,6 +562,10 @@ void ShardedEngine::Flush() {
 
 uint64_t ShardedEngine::ItemsProcessed() const { return TotalApplied(); }
 
+uint64_t ShardedEngine::ShardRotations(size_t shard_index) const {
+  return windows_.empty() ? 0 : windows_[shard_index]->rotations();
+}
+
 std::vector<uint64_t> ShardedEngine::ShardItemCounts() const {
   std::vector<uint64_t> counts;
   counts.reserve(shards_.size());
@@ -619,37 +627,49 @@ void ShardedEngine::PublishMetrics() const {
   }
 }
 
-template <typename Fn>
-auto ShardedEngine::Parked(Fn&& fn) {
+template <typename Unchanged, typename Fn>
+auto ShardedEngine::Parked(Unchanged&& unchanged, Fn&& fn) {
   std::lock_guard<std::mutex> lock(state_mutex_);
+  bool park = false;
   {
-    obs::ScopedPhase park("park_wait");
+    obs::ScopedPhase phase("park_wait");
     Flush();
-    PauseWorkers();
+    park = !unchanged();
+    if (park) PauseWorkers();
   }
   auto result = fn();
-  ResumeWorkers();
+  if (park) ResumeWorkers();
   return result;
 }
 
 template <typename Read>
 auto ShardedEngine::ReadView(Read&& read) {
-  return Parked([&] {
-    // Rotation changes state without moving the applied count, so the
-    // rotation count is part of the cache key.
-    const Summary* view = nullptr;
-    const Status s =
-        merged_.View(summaries_, TotalApplied(),
-                     rotations_done_.load(std::memory_order_acquire), &view);
-    if (!s.ok()) {
-      // A silent partial merge would corrupt the global report.
-      std::fprintf(stderr, "ShardedEngine: shard merge failed: %s\n",
-                   s.ToString().c_str());
-      std::abort();
-    }
-    obs::ScopedPhase report("report");
-    return read(*view);
-  });
+  // The key is read after the flush; the header says why an equal key
+  // means merged_ covers every item enqueued before this query.
+  // Rotations move only under state_mutex_, which Parked holds.
+  const Summary* view = nullptr;
+  uint64_t rotations = 0;
+  return Parked(
+      [&] {
+        rotations = rotations_done_.load(std::memory_order_acquire);
+        view = merged_.Cached(summaries_.size(), TotalApplied(), rotations);
+        return view != nullptr;
+      },
+      [&] {
+        if (view == nullptr) {
+          // Parked now, so the key is read again: the rebuild's own state.
+          const Status s =
+              merged_.View(summaries_, TotalApplied(), rotations, &view);
+          if (!s.ok()) {
+            // A silent partial merge would corrupt the global report.
+            std::fprintf(stderr, "ShardedEngine: shard merge failed: %s\n",
+                         s.ToString().c_str());
+            std::abort();
+          }
+        }
+        obs::ScopedPhase report("report");
+        return read(*view);
+      });
 }
 
 const Summary& ShardedEngine::MergedView() {
@@ -684,7 +704,7 @@ std::vector<ItemEstimate> ShardedEngine::HeavyHitters(double phi) {
 }
 
 size_t ShardedEngine::MemoryUsageBytes() {
-  return Parked([this] {
+  return Parked(kAlwaysPark, [this] {
     size_t total = merged_.MemoryUsageBytes();
     for (const auto& summary : summaries_) {
       total += summary->MemoryUsageBytes();
@@ -707,12 +727,10 @@ Status ShardedEngine::CaptureFramesLocked(
   for (size_t s = 0; s < shards_.size(); ++s) {
     const uint64_t applied =
         shards_[s]->applied.load(std::memory_order_acquire);
-    const uint64_t rotations =
-        windows_.empty() ? 0 : windows_[s]->rotations();
+    const uint64_t rotations = ShardRotations(s);
     const ShardBaseline base =
         s < baselines.size() ? baselines[s] : ShardBaseline{};
-    if (base.valid && base.applied == applied &&
-        base.rotations == rotations) {
+    if (base.Holds(applied, rotations)) {
       continue;  // clean: the consumer already holds exactly this state
     }
     // A delta only exists for a windowed shard whose baseline precedes
@@ -737,10 +755,34 @@ Status ShardedEngine::CaptureFramesLocked(
 Status ShardedEngine::CaptureFrames(
     const std::vector<ShardBaseline>& baselines, uint32_t max_delta_chain,
     std::vector<ShardFrame>* frames, uint64_t* total_applied) {
-  return Parked([&] {
-    return CaptureFramesLocked(baselines, max_delta_chain, frames,
-                               total_applied);
-  });
+  // A consumer that holds every shard's live clocks gets no frames, and
+  // the workers stay live: the clean test reads only the clocks. The
+  // total is the sum the test compared, so it matches the baselines even
+  // if a worker applies more right after.
+  bool clean = false;
+  return Parked(
+      [&] {
+        uint64_t total = 0;
+        for (size_t s = 0; s < shards_.size(); ++s) {
+          const uint64_t applied =
+              shards_[s]->applied.load(std::memory_order_acquire);
+          if (s >= baselines.size() ||
+              !baselines[s].Holds(applied, ShardRotations(s))) {
+            return false;
+          }
+          total += applied;
+        }
+        if (total_applied != nullptr) *total_applied = total;
+        return clean = true;
+      },
+      [&] {
+        if (clean) {
+          frames->clear();
+          return Status::Ok();
+        }
+        return CaptureFramesLocked(baselines, max_delta_chain, frames,
+                                   total_applied);
+      });
 }
 
 Status ShardedEngine::WriteCheckpoint(const std::string& dir,
@@ -748,7 +790,7 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
   obs::Trace(obs::Severity::kInfo, "checkpoint.begin", incremental ? 1 : 0);
   const uint64_t t0 = obs::TraceRing::NowNs();
   std::vector<ShardFrame> frames;
-  const Status result = Parked([&]() -> Status {
+  const Status result = Parked(kAlwaysPark, [&]() -> Status {
     Manifest next;
     Status s = BeginCheckpoint(dir, options_.algorithm, shards_.size(),
                                incremental, &next);

@@ -55,7 +55,10 @@
 //     at entry to be applied, park the workers, and read the shard
 //     summaries only while parked (results are copied out, giving
 //     readers snapshot isolation).  Items enqueued while the query runs
-//     are simply not in that snapshot yet.
+//     are simply not in that snapshot yet.  A query whose merged view is
+//     already cached at the flushed item and rotation counts (K > 1),
+//     and a capture every shard of which is clean, read no shard
+//     summary and so do not park.
 //   * MergedView still returns a REFERENCE into engine state, so it
 //     keeps the stricter legacy contract: controller thread only, no
 //     concurrently-active producer handles, reference valid until the
@@ -233,10 +236,10 @@ class ShardedEngine {
   /// isolation — see contract above).
   double Estimate(uint64_t item);
 
-  /// Point queries for a whole key list under ONE flush/park/rebuild
-  /// cycle (an audit pass over k keys costs one pause, not k).  Returns
-  /// estimates positionally matching `items`.  Same thread-safety and
-  /// snapshot-isolation contract as Estimate.
+  /// Point queries for a whole key list under ONE flush and at most one
+  /// park/rebuild cycle (an audit pass over k keys costs one pause, not
+  /// k).  Returns estimates positionally matching `items`.  Same
+  /// thread-safety and snapshot-isolation contract as Estimate.
   std::vector<double> EstimateBatch(const std::vector<uint64_t>& items);
 
   /// Global report from the merged view.  Flushes; safe from any thread,
@@ -289,12 +292,13 @@ class ShardedEngine {
   /// a chain's on-disk footprint.
   static constexpr uint32_t kMaxDeltaChain = 12;
 
-  /// Flush-quiesces, parks the workers, and captures each shard as a
-  /// frame against `baselines` (empty: a cold consumer, all full frames):
-  /// clean shards emit nothing, dirty windowed shards within
-  /// `max_delta_chain` a delta, everything else a full snapshot.
-  /// `*total_applied` gets the global applied count the frames reach.
-  /// The capture behind checkpoints and replication.  Safe from any thread.
+  /// Flush-quiesces and captures each shard as a frame against
+  /// `baselines` (empty: a cold consumer, all full frames): clean shards
+  /// emit nothing, dirty windowed shards within `max_delta_chain` a
+  /// delta, everything else a full snapshot.  `*total_applied` gets the
+  /// global applied count the frames reach.  Parks the workers only when
+  /// some shard is dirty.  The capture behind checkpoints and
+  /// replication.  Safe from any thread.
   Status CaptureFrames(const std::vector<ShardBaseline>& baselines,
                        uint32_t max_delta_chain,
                        std::vector<ShardFrame>* frames,
@@ -412,16 +416,28 @@ class ShardedEngine {
   template <typename PushFn>
   void IngestWindowed(uint64_t total, PushFn&& push);
   // Runs `fn` under the read-side protocol every query, capture and
-  // checkpoint shares: serialize on state_mutex_, Flush, park the workers
-  // (the `park_wait` query phase), run, resume.  While `fn` runs, the
-  // shard summaries and the merge cache are safe to touch.
-  template <typename Fn>
-  auto Parked(Fn&& fn);
-  // Parked, then `read(view)` on the merged view from merged_ (the
-  // `report` phase).  Aborts if the shards fail to merge, which
-  // Create-built or CheckShardSet-valid shards cannot.
+  // checkpoint shares: serialize on state_mutex_ and Flush, then ask
+  // `unchanged()`.  False: park the workers (Flush plus the park are the
+  // `park_wait` query phase), run `fn` with the shard summaries and the
+  // merge cache safe to touch, resume.  True: the answer needs no shard
+  // summary, so `fn` runs with the workers live and must touch only the
+  // merge cache, the atomics and state that moves only under
+  // state_mutex_; `park_wait` is then the flush alone.
+  template <typename Unchanged, typename Fn>
+  auto Parked(Unchanged&& unchanged, Fn&& fn);
+  // `read(view)` on the merged view (the `report` phase).  When merged_
+  // holds a merge built at the flushed (TotalApplied, rotations_done_)
+  // key, it is read without parking: applied counts only grow, so an
+  // equal total means no shard has moved since.  Otherwise parks,
+  // rebuilds and reads.  K == 1 always parks: its view is the live
+  // shard.  Aborts if the shards fail to merge, which Create-built or
+  // CheckShardSet-valid shards cannot.
   template <typename Read>
   auto ReadView(Read&& read);
+  // Shard `shard_index`'s window rotations (0 when not windowed).  Call
+  // with state_mutex_ held: rotation happens only under it, so the
+  // workers may be live.
+  uint64_t ShardRotations(size_t shard_index) const;
   // CaptureFrames body; requires state_mutex_ held and workers parked.
   Status CaptureFramesLocked(const std::vector<ShardBaseline>& baselines,
                              uint32_t max_delta_chain,
@@ -442,8 +458,12 @@ class ShardedEngine {
 
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // The shard summaries, one per shard; summaries_[s] is written only by
-  // the worker that owns shard s, or by a thread that parked the workers.
+  // The shard summaries, one per shard. The state of summaries_[s] is
+  // changed only by the worker that owns shard s (which then moves
+  // shards_[s]->applied) or by a rotation (which moves rotations_done_
+  // under state_mutex_), so the merge cache's (applied total, rotations)
+  // key sees every change; a parked reader may fill a windowed shard's
+  // mutable merge cache.
   std::vector<std::unique_ptr<Summary>> summaries_;
   std::vector<std::unique_ptr<ProducerSlot>> slots_;
   std::vector<std::thread> workers_;
@@ -470,7 +490,8 @@ class ShardedEngine {
   size_t parked_workers_ = 0;
 
   // Merge-epoch cache (guarded by state_mutex_), keyed on the applied
-  // count and the rotation count: rebuilt only when either moves.
+  // count and the rotation count: rebuilt only when either moves, and
+  // read without parking the workers while neither does.
   MergedViewCache merged_{"l1hh_engine_merge"};
 
   // Windowed operation: the shard windows in external-rotation mode

@@ -66,9 +66,13 @@ MisraGries MisraGries::Merge(const MisraGries& a, const MisraGries& b) {
   for (CounterGroups::Counter& c : combined) c.count -= cut;
   std::sort(combined.begin(), combined.end());
 
+  // Every estimate undercounts by at most err_a + err_b + cut, and each
+  // of those decrements removed k+1 units, so the merged ErrorBound stays
+  // <= (n_a + n_b)/(k+1). The counts sit above that offset, so the
+  // estimates are still the combined counts minus the cut.
   MisraGries merged(k, a.key_bits_);
   merged.processed_ = a.processed_ + b.processed_;
-  merged.groups_.Assign(0, combined);
+  merged.groups_.Assign(a.ErrorBound() + b.ErrorBound() + cut, combined);
   return merged;
 }
 

@@ -37,7 +37,7 @@ class MisraGries {
   uint64_t Estimate(uint64_t item) const { return groups_.Count(item); }
 
   /// Upper bound on f(x) - Estimate(x), i.e. the number of global
-  /// decrements so far (<= m / (k+1)).
+  /// decrements so far, merge cuts included (<= m / (k+1)).
   uint64_t ErrorBound() const { return groups_.decrement_count(); }
 
   /// All tracked items with their counts, sorted by count descending.

@@ -52,6 +52,31 @@ TEST(EpsilonMaximumTest, MaxFrequencyWithinEpsM) {
   EXPECT_LE(failures, 3);
 }
 
+// The same guarantee when the stream is shorter or longer than the
+// configured m: the estimate scales by the items processed, so it stays
+// within eps*n of the true max at n = m/4 and n = 4m.
+TEST(EpsilonMaximumTest, MaxFrequencyWithinEpsNWhenLengthIsNotM) {
+  const double eps = 0.02;
+  const uint64_t m = 40000;
+  for (const uint64_t n : {m / 4, 4 * m}) {
+    int failures = 0;
+    const int trials = 10;
+    for (int t = 0; t < trials; ++t) {
+      const auto stream = MakeZipfStream(1 << 14, 1.2, n, 700 + t);
+      EpsilonMaximum sketch(MakeOptions(eps, m), 800 + t);
+      ExactCounter exact;
+      for (const uint64_t x : stream) {
+        sketch.Insert(x);
+        exact.Insert(x);
+      }
+      const double est = sketch.EstimateMaxCount();
+      const double truth = static_cast<double>(exact.Max().count);
+      if (std::abs(est - truth) > eps * static_cast<double>(n)) ++failures;
+    }
+    EXPECT_LE(failures, 2) << "n = " << n;
+  }
+}
+
 TEST(EpsilonMaximumTest, ReturnedItemIsNearMaximal) {
   // The returned item's true frequency must be within eps*m of the max
   // (the epsilon-winner condition of [DB15]).

@@ -116,6 +116,35 @@ TEST(MisraGriesTest, MergePreservesGuarantee) {
   }
 }
 
+// A merged summary's ErrorBound covers its undercount (the two inputs'
+// decrements plus the merge cut) and keeps the (n_a + n_b)/(k+1) bound,
+// also when a merged summary is merged again.
+TEST(MisraGriesTest, MergedErrorBoundCoversEveryUndercount) {
+  const size_t k = 8;
+  const uint64_t m = 20000;
+  const auto stream = MakeZipfStream(1 << 12, 1.1, 3 * m, /*seed=*/17);
+  MisraGries a(k), b(k), c(k);
+  ExactCounter exact_ab;
+  ExactCounter exact_abc;
+  for (uint64_t i = 0; i < stream.size(); ++i) {
+    MisraGries& part = i < m ? a : (i < 2 * m ? b : c);
+    part.Insert(stream[i]);
+    if (i < 2 * m) exact_ab.Insert(stream[i]);
+    exact_abc.Insert(stream[i]);
+  }
+  const MisraGries ab = MisraGries::Merge(a, b);
+  const MisraGries abc = MisraGries::Merge(ab, c);
+  EXPECT_GT(ab.ErrorBound(), 0u);
+  EXPECT_LE(ab.ErrorBound(), 2 * m / (k + 1));
+  EXPECT_LE(abc.ErrorBound(), 3 * m / (k + 1));
+  for (const uint64_t x : stream) {
+    EXPECT_LE(ab.Estimate(x), exact_ab.Count(x));
+    EXPECT_LE(exact_ab.Count(x) - ab.Estimate(x), ab.ErrorBound()) << x;
+    EXPECT_LE(abc.Estimate(x), exact_abc.Count(x));
+    EXPECT_LE(exact_abc.Count(x) - abc.Estimate(x), abc.ErrorBound()) << x;
+  }
+}
+
 TEST(MisraGriesTest, SerializeRoundTrip) {
   Rng rng(4);
   MisraGries mg(12, 20);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "engine/shard_set.h"
 #include "engine/spsc_ring.h"
+#include "obs/metrics.h"
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/summary.h"
@@ -306,6 +308,116 @@ TEST(ShardedEngineTest, MergedViewReflectsNewItemsAfterCacheHit) {
   const auto report = engine->HeavyHitters(0.05);
   EXPECT_TRUE(Reported(report, 42));
   EXPECT_TRUE(Reported(report, 43));
+}
+
+// A query on an unchanged K > 1 engine reads the cached merge with the
+// workers live: only the first query after new items parks and rebuilds.
+// A K == 1 engine's view is its live shard, so every query parks.
+TEST(ShardedEngineTest, CacheHitQueriesDoNotPark) {
+  obs::SetEnabled(true);
+  const obs::Histogram* parks = obs::GetHistogram("l1hh_engine_park_wait_ns");
+  const obs::Counter* rebuilds =
+      obs::GetCounter("l1hh_engine_merge_rebuilds_total");
+  auto engine = ShardedEngine::Create(EngineOptions("exact", 2, 1000));
+  ASSERT_NE(engine, nullptr);
+  engine->UpdateBatch(std::vector<uint64_t>(300, 42));
+  uint64_t parks0 = parks->Count();
+  const uint64_t rebuilds0 = rebuilds->Value();
+  EXPECT_DOUBLE_EQ(engine->Estimate(42), 300.0);
+  EXPECT_EQ(parks->Count(), parks0 + 1);
+  EXPECT_EQ(rebuilds->Value(), rebuilds0 + 1);
+  for (int i = 0; i < 50; ++i) {
+    switch (i % 3) {
+      case 0:
+        EXPECT_DOUBLE_EQ(engine->Estimate(42), 300.0);
+        break;
+      case 1:
+        EXPECT_TRUE(Reported(engine->HeavyHitters(0.05), 42));
+        break;
+      default:
+        EXPECT_EQ(engine->EstimateBatch({42, 43}),
+                  (std::vector<double>{300.0, 0.0}));
+    }
+  }
+  EXPECT_EQ(parks->Count(), parks0 + 1);
+  EXPECT_EQ(rebuilds->Value(), rebuilds0 + 1);
+  // New items move the key: the next query parks once and sees them.
+  engine->UpdateBatch(std::vector<uint64_t>(200, 43));
+  EXPECT_DOUBLE_EQ(engine->Estimate(43), 200.0);
+  EXPECT_DOUBLE_EQ(engine->Estimate(42), 300.0);
+  EXPECT_EQ(parks->Count(), parks0 + 2);
+  EXPECT_EQ(rebuilds->Value(), rebuilds0 + 2);
+
+  auto single = ShardedEngine::Create(EngineOptions("exact", 1, 1000));
+  ASSERT_NE(single, nullptr);
+  single->UpdateBatch(std::vector<uint64_t>(300, 42));
+  parks0 = parks->Count();
+  for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(single->Estimate(42), 300.0);
+  EXPECT_EQ(parks->Count(), parks0 + 5);
+  EXPECT_EQ(rebuilds->Value(), rebuilds0 + 2);  // a lone shard never merges
+}
+
+// One producer streams batches while another thread queries. A query
+// covers every batch finished before it began and nothing not yet
+// begun, so answers never decrease; once the producer stops, they are
+// exact.
+TEST(ShardedEngineTest, QueriesDuringIngestNeverGoBackOrAhead) {
+  auto engine = ShardedEngine::Create(EngineOptions("exact", 2, 1 << 20));
+  ASSERT_NE(engine, nullptr);
+  constexpr uint64_t kHot = 42;
+  constexpr int kBatches = 300;
+  constexpr size_t kBatch = 500;
+  std::vector<std::vector<uint64_t>> batches(kBatches);
+  ExactCounter exact;
+  Rng rng(29);
+  for (auto& batch : batches) {
+    batch.resize(kBatch);
+    for (size_t i = 0; i < kBatch; ++i) {
+      batch[i] = i % 5 == 0 ? kHot : 100 + rng.UniformU64(1000);
+      exact.Insert(batch[i]);
+    }
+  }
+  const double hot_per_batch = static_cast<double>(kBatch / 5);
+  std::atomic<int> begun{0};
+  std::atomic<int> finished{0};
+  std::thread producer([&] {
+    for (const auto& batch : batches) {
+      begun.fetch_add(1, std::memory_order_seq_cst);
+      engine->UpdateBatch(batch);
+      finished.fetch_add(1, std::memory_order_seq_cst);
+    }
+  });
+  double last_estimate = 0.0;
+  double last_heavy = 0.0;
+  int queries = 0;
+  while (finished.load() < kBatches || queries < 10) {
+    const double floor = finished.load() * hot_per_batch;
+    double got = 0.0;
+    if (queries % 2 == 0) {
+      got = engine->Estimate(kHot);
+      EXPECT_GE(got, last_estimate);
+      last_estimate = got;
+    } else {
+      for (const ItemEstimate& e : engine->HeavyHitters(0.1)) {
+        if (e.item == kHot) got = e.estimate;
+      }
+      EXPECT_GE(got, last_heavy);
+      last_heavy = got;
+    }
+    EXPECT_GE(got, floor);
+    EXPECT_LE(got, begun.load() * hot_per_batch);
+    ++queries;
+  }
+  producer.join();
+  for (uint64_t x = 100; x < 1100; ++x) {
+    EXPECT_DOUBLE_EQ(engine->Estimate(x), static_cast<double>(exact.Count(x)))
+        << x;
+  }
+  const auto report = engine->HeavyHitters(0.1);
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].item, kHot);
+  EXPECT_DOUBLE_EQ(report[0].estimate,
+                   static_cast<double>(exact.Count(kHot)));
 }
 
 TEST(ShardedEngineTest, SingleShardServesAnyAlgorithmWithoutMerge) {
@@ -693,6 +805,77 @@ TEST(StagedShardSetTest, HostileFramesLeaveTheCommittedSetUntouched) {
     expect_refused(frames, f.delta_total, "rotation clock off by one");
     expect_refused(f.deltas, f.delta_total + skew, "total off by one");
   }
+}
+
+// A capture against baselines holding every shard's live clocks ships no
+// frame and leaves the workers live. Once a shard moves (items, or a
+// rotation), the capture parks and its frames bring a consumer to the
+// engine's state.
+TEST(ShardedEngineTest, CleanCaptureDoesNotPark) {
+  obs::SetEnabled(true);
+  const obs::Histogram* parks = obs::GetHistogram("l1hh_engine_park_wait_ns");
+  ShardedEngineOptions options = EngineOptions("windowed:exact", 2, 1000);
+  options.summary.window_size = 1000;
+  options.summary.window_buckets = 4;  // bucket width 250
+  auto engine = ShardedEngine::Create(options);
+  ASSERT_NE(engine, nullptr);
+  std::vector<uint64_t> items(600);
+  for (size_t i = 0; i < items.size(); ++i) items[i] = i % 37;
+  engine->UpdateBatch(items);
+
+  std::vector<std::unique_ptr<Summary>> replica(2);
+  std::vector<ShardBaseline> baselines(2);
+  std::vector<ShardFrame> frames;
+  uint64_t total = 0;
+  // Captures against the consumer's baselines, applies the frames to it
+  // and checks it answers like the engine.
+  const auto ship = [&] {
+    ASSERT_TRUE(engine->CaptureFrames(baselines, ShardedEngine::kMaxDeltaChain,
+                                      &frames, &total)
+                    .ok());
+    ASSERT_TRUE(ApplyRound(&replica, frames, total).ok());
+    for (const ShardFrame& frame : frames) {
+      baselines[frame.shard].Advance(frame);
+    }
+    for (uint64_t x = 0; x < 40; ++x) {
+      EXPECT_DOUBLE_EQ(replica[engine->ShardOf(x)]->Estimate(x),
+                       engine->Estimate(x))
+          << x;
+    }
+  };
+  ship();
+  ASSERT_EQ(frames.size(), 2u);
+
+  uint64_t parks0 = parks->Count();
+  for (int i = 0; i < 20; ++i) {
+    frames.resize(1);
+    total = 0;
+    ASSERT_TRUE(engine->CaptureFrames(baselines, ShardedEngine::kMaxDeltaChain,
+                                      &frames, &total)
+                    .ok());
+    EXPECT_TRUE(frames.empty());
+    EXPECT_EQ(total, 600u);
+  }
+  EXPECT_EQ(parks->Count(), parks0);
+
+  // 100 items of one id stay inside the live bucket: one dirty shard.
+  const uint64_t item = 5;
+  engine->UpdateBatch(std::vector<uint64_t>(100, item));
+  parks0 = parks->Count();
+  ship();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].shard, engine->ShardOf(item));
+  EXPECT_TRUE(frames[0].delta);
+  EXPECT_EQ(total, 700u);
+  EXPECT_GE(parks->Count(), parks0 + 1);  // the capture, then the queries
+
+  // Crossing the boundary at 750 rotates both shards: both are dirty.
+  engine->UpdateBatch({items.data(), 60});
+  parks0 = parks->Count();
+  ship();
+  EXPECT_EQ(frames.size(), 2u);
+  EXPECT_EQ(total, 760u);
+  EXPECT_GE(parks->Count(), parks0 + 1);
 }
 
 }  // namespace
