@@ -10,6 +10,8 @@ namespace l1hh {
 
 namespace {
 
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
 uint64_t ExpectedSamples(const BdwOptimal::Options& opt) {
   const double l =
       opt.constants.opt_sample_factor / (opt.epsilon * opt.epsilon);
@@ -177,45 +179,72 @@ Status BdwOptimal::MergeFrom(const BdwOptimal& other) {
   return Status::Ok();
 }
 
-double BdwOptimal::EstimateRep(ItemId item, size_t rep) const {
-  const size_t i = static_cast<size_t>(hashes_[rep](item));
-  double estimate = 0;
+BdwOptimal::MedianScratch BdwOptimal::MakeMedianScratch() const {
+  MedianScratch scratch;
   // T3 is only written at the current epoch and epochs never decrease, so
   // no cell above current_epoch_ is ever nonzero.
   for (int t = 0; t <= current_epoch_; ++t) {
-    const uint64_t c = t3_.Get(T3Cell(i, rep, t));
-    if (c == 0) continue;
-    estimate += static_cast<double>(c) * std::ldexp(1.0, T3Exponent(t));
+    scratch.weight.push_back(std::ldexp(1.0, T3Exponent(t)));
   }
-  return estimate;
+  scratch.block.resize(reps_);
+  scratch.reps.resize(reps_);
+  return scratch;
 }
 
-std::vector<HeavyHitter> BdwOptimal::Report() const {
+bool BdwOptimal::MedianEstimate(ItemId item, double scale, double threshold,
+                                MedianScratch& scratch,
+                                double* median) const {
+  for (size_t j = 0; j < reps_; ++j) {
+    scratch.block[j] = T3Cell(static_cast<size_t>(hashes_[j](item)), j, 0);
+    // The first and last cell read: a block may straddle a cache line.
+    t3_.Prefetch(scratch.block[j]);
+    t3_.Prefetch(scratch.block[j] + scratch.weight.size() - 1);
+  }
+  const size_t decided_below = reps_ / 2 + 1;
+  size_t below = 0;
+  for (size_t j = 0; j < reps_; ++j) {
+    double estimate = 0;
+    for (size_t t = 0; t < scratch.weight.size(); ++t) {
+      const uint64_t c = t3_.Get(scratch.block[j] + t);
+      if (c != 0) estimate += static_cast<double>(c) * scratch.weight[t];
+    }
+    scratch.reps[j] = estimate;
+    // x -> x * scale rounds monotonically, so the median clears the
+    // threshold iff fewer than R/2 + 1 repetitions fall below it.
+    if (estimate * scale < threshold && ++below == decided_below) {
+      return false;
+    }
+  }
+  const auto mid =
+      scratch.reps.begin() + static_cast<std::ptrdiff_t>(reps_ / 2);
+  std::nth_element(scratch.reps.begin(), mid, scratch.reps.end());
+  *median = *mid * scale;
+  return true;
+}
+
+std::vector<HeavyHitter> BdwOptimal::Report(double phi) const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
-  const double scale = static_cast<double>(position_) /
-                       static_cast<double>(sampled_);
-  const double threshold = (opt_.phi - opt_.epsilon / 2.0) *
-                           static_cast<double>(sampled_);
-  std::vector<double> reps(reps_);
+  const double scale = Scale();
+  const double threshold =
+      (phi - opt_.epsilon / 2.0) * static_cast<double>(position_);
+  MedianScratch scratch = MakeMedianScratch();
   for (const auto& entry : t1_.Entries()) {
-    for (size_t j = 0; j < reps_; ++j) {
-      reps[j] = EstimateRep(entry.item, j);
+    HeavyHitter hh;
+    hh.item = entry.item;
+    if (!MedianEstimate(entry.item, scale, threshold, scratch,
+                        &hh.estimated_count)) {
+      continue;
     }
-    std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
-    const double med = reps[reps_ / 2];
-    if (med >= threshold) {
-      HeavyHitter hh;
-      hh.item = entry.item;
-      hh.estimated_count = med * scale;
-      hh.estimated_fraction =
-          hh.estimated_count / static_cast<double>(position_);
-      out.push_back(hh);
-    }
+    hh.estimated_fraction =
+        hh.estimated_count / static_cast<double>(position_);
+    out.push_back(hh);
   }
   std::sort(out.begin(), out.end(),
             [](const HeavyHitter& a, const HeavyHitter& b) {
-              return a.estimated_count > b.estimated_count;
+              return a.estimated_count > b.estimated_count ||
+                     (a.estimated_count == b.estimated_count &&
+                      a.item < b.item);
             });
   return out;
 }
@@ -223,17 +252,13 @@ std::vector<HeavyHitter> BdwOptimal::Report() const {
 std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
-  const double scale = static_cast<double>(position_) /
-                       static_cast<double>(sampled_);
-  std::vector<double> reps(reps_);
+  const double scale = Scale();
+  MedianScratch scratch = MakeMedianScratch();
   for (const auto& entry : t1_.Entries()) {
-    for (size_t j = 0; j < reps_; ++j) {
-      reps[j] = EstimateRep(entry.item, j);
-    }
-    std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
     HeavyHitter hh;
     hh.item = entry.item;
-    hh.estimated_count = reps[reps_ / 2] * scale;
+    MedianEstimate(entry.item, scale, -kInfinity, scratch,
+                   &hh.estimated_count);
     hh.estimated_fraction =
         hh.estimated_count / static_cast<double>(position_);
     out.push_back(hh);
@@ -248,12 +273,10 @@ std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
 
 double BdwOptimal::EstimateCount(ItemId item) const {
   if (sampled_ == 0) return 0;
-  std::vector<double> reps(reps_);
-  for (size_t j = 0; j < reps_; ++j) reps[j] = EstimateRep(item, j);
-  std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
-  const double scale = static_cast<double>(position_) /
-                       static_cast<double>(sampled_);
-  return reps[reps_ / 2] * scale;
+  MedianScratch scratch = MakeMedianScratch();
+  double estimate = 0;
+  MedianEstimate(item, Scale(), -kInfinity, scratch, &estimate);
+  return estimate;
 }
 
 size_t BdwOptimal::SpaceBits() const {

@@ -14,8 +14,9 @@
 //     counted with probability min(eps 2^t, 1), so counting probability
 //     grows as Theta(eps^2 f_i) for phi-heavy items and each estimator has
 //     O(eps^-2) variance;
-//   * estimate = median over j of sum_t T3[i][j][t] / min(eps 2^t, 1);
-//     report T1 candidates whose estimate clears (phi - eps/2) * sample.
+//   * estimate = median over j of sum_t T3[i][j][t] / min(eps 2^t, 1),
+//     rescaled by items / samples; report T1 candidates whose estimate
+//     clears (phi - eps/2) * items.
 //
 // Epoch schedule (deviation from the pseudocode, documented in
 // docs/ALGORITHMS.md): the paper advances each cell's epoch from its own
@@ -82,7 +83,14 @@ class BdwOptimal {
   /// once the epoch t reaches eps_exp and every T3 coin lands.
   void Insert(ItemId item);
 
-  std::vector<HeavyHitter> Report() const;
+  /// The T1 candidates whose median estimate clears
+  /// (phi - eps/2) * items_processed(), estimate descending (ties by item).
+  /// A candidate is dropped as soon as R/2 + 1 of its repetitions fall
+  /// below the threshold, which decides its median: a dropped candidate
+  /// costs about R/2 + 1 repetitions, a reported one all R.  Estimates are
+  /// bit-identical to TopK's.
+  std::vector<HeavyHitter> Report(double phi) const;
+  std::vector<HeavyHitter> Report() const { return Report(opt_.phi); }
 
   /// The k candidates with the highest median estimates, unthresholded.
   std::vector<HeavyHitter> TopK(size_t k) const;
@@ -186,9 +194,30 @@ class BdwOptimal {
            static_cast<size_t>(epoch);
   }
 
-  /// Per-repetition estimate of the sampled-stream frequency of item's
-  /// hashed id.
-  double EstimateRep(ItemId item, size_t rep) const;
+  /// Scratch of MedianEstimate, built once per query call: the exact
+  /// epoch weights 1 / min(eps 2^t, 1) = 2^T3Exponent(t) for t <=
+  /// current_epoch_, and one item's R T3 block offsets and estimates.
+  struct MedianScratch {
+    std::vector<double> weight;
+    std::vector<size_t> block;
+    std::vector<double> reps;
+  };
+  MedianScratch MakeMedianScratch() const;
+
+  /// The one per-item estimator behind Report, TopK and EstimateCount:
+  /// hashes all R repetitions and prefetches their T3 epoch blocks, then
+  /// sums each repetition's epochs (sampled-stream units).  Sets *median
+  /// to the median repetition times `scale` (full-stream units) and
+  /// returns true — unless R/2 + 1 repetitions have rep * scale <
+  /// `threshold`, which puts the median below it too: then it returns
+  /// false without reading the rest.  Pass -infinity to always finish.
+  bool MedianEstimate(ItemId item, double scale, double threshold,
+                      MedianScratch& scratch, double* median) const;
+
+  /// Full-stream units per sampled item: items_processed / samples_taken.
+  double Scale() const {
+    return static_cast<double>(position_) / static_cast<double>(sampled_);
+  }
 
   /// T3 counting probability at `epoch` is min(eps 2^epoch, 1) =
   /// 2^-T3Exponent(epoch).

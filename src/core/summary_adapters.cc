@@ -140,9 +140,16 @@ class BdwOptimalSummary : public Summary {
     return impl_.EstimateCount(item);
   }
 
+  // Report(phi) applies FilterTopK's threshold inside the median scan, so
+  // the answer equals FilterTopK(TopK(all)) without finishing the median
+  // of a candidate that cannot clear it.
   std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return FilterTopK(impl_.TopK(static_cast<size_t>(-1)), phi,
-                      impl_.options().epsilon, impl_.items_processed());
+    std::vector<ItemEstimate> out;
+    for (const HeavyHitter& hh : impl_.Report(phi)) {
+      out.push_back({hh.item, hh.estimated_count});
+    }
+    SortByEstimateDesc(out);
+    return out;
   }
 
   uint64_t ItemsProcessed() const override {

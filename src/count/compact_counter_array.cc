@@ -1,12 +1,17 @@
 #include "count/compact_counter_array.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace l1hh {
 
 void CompactCounterArray::Reset(size_t n) {
   size_ = n;
   total_ = 0;
   packed_.assign((n + 1) / 2, 0);
-  overflow_.clear();
+  std::vector<Spill>().swap(spill_);
+  spilled_ = 0;
+  spill_shift_ = 64;
 }
 
 void CompactCounterArray::Add(size_t i, uint64_t delta) {
@@ -20,10 +25,36 @@ void CompactCounterArray::Add(size_t i, uint64_t delta) {
       return;
     }
     SetNibble(i, kNibbleMax);
-    overflow_[i] += v - kNibbleMax;
+    if (v > kNibbleMax) SpillSlot(i) += v - kNibbleMax;
     return;
   }
-  overflow_[i] += delta;
+  SpillSlot(i) += delta;
+}
+
+uint64_t& CompactCounterArray::SpillSlot(size_t i) {
+  const uint64_t key = static_cast<uint64_t>(i) + 1;
+  size_t s = spill_.empty() ? 0 : SpillProbe(key);
+  if (spill_.empty() || spill_[s].key != key) {
+    // At most size_ cells spill, so the table never outgrows the smallest
+    // power of two >= 4/3 size_, whatever a decoded payload holds.
+    if ((spilled_ + 1) * 4 > spill_.size() * 3) {
+      GrowSpill();
+      s = SpillProbe(key);
+    }
+    spill_[s].key = key;
+    ++spilled_;
+  }
+  return spill_[s].high;
+}
+
+void CompactCounterArray::GrowSpill() {
+  const size_t slots = std::max<size_t>(8, 2 * spill_.size());
+  const std::vector<Spill> old =
+      std::exchange(spill_, std::vector<Spill>(slots, Spill{0, 0}));
+  spill_shift_ = 64 - CeilLog2(spill_.size());
+  for (const Spill& slot : old) {
+    if (slot.key != 0) spill_[SpillProbe(slot.key)] = slot;
+  }
 }
 
 bool CompactCounterArray::AddFrom(const CompactCounterArray& other) {
@@ -45,10 +76,7 @@ size_t CompactCounterArray::SpaceBits() const {
 }
 
 size_t CompactCounterArray::HeapBytes() const {
-  // unordered_map node overhead approximated at 48 bytes per entry plus the
-  // bucket array.
-  return packed_.capacity() +
-         overflow_.size() * 48 + overflow_.bucket_count() * sizeof(void*);
+  return packed_.capacity() + spill_.capacity() * sizeof(Spill);
 }
 
 void CompactCounterArray::Serialize(BitWriter& out) const {

@@ -3,10 +3,15 @@
 // using a variable length array which allows us to read and update C in O(1)
 // time and O(log C) bits of space" (Section 2.3).
 //
-// Layout: every counter owns a 4-bit nibble in a packed base array; counters
-// that outgrow their nibble spill into a small open-addressing overflow map
-// holding the high bits.  Reads and increments are O(1); the occupied space
-// is Theta(sum_i log c_i) + O(n) bits, matching the accounting the paper
+// Layout: every counter owns a 4-bit nibble in a packed base array; a
+// counter that outgrows its nibble sets it to 15 and keeps its high part
+// (value - 15) in the spill table: flat 16-byte slots {cell + 1, high
+// part}, 0 marking an empty slot, linearly probed from a multiplicative
+// hash of the cell, power-of-two capacity doubled at 3/4 load.  Cells
+// never shrink, so slots are never deleted; Reset frees the table.  A
+// spilled cell costs 16 / load = 21-43 bytes of table.  Reads and
+// increments are O(1) expected; the occupied space is
+// Theta(sum_i log c_i) + O(n) bits, matching the accounting the paper
 // needs for tables T2/T3 of Algorithm 2.  SpaceBits() reports the
 // information-theoretic gamma-code cost, which is what the benches chart;
 // HeapBytes() reports what this process actually allocated.
@@ -15,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/bit_stream.h"
@@ -34,9 +38,12 @@ class CompactCounterArray {
   uint64_t Get(size_t i) const {
     const uint8_t nib = Nibble(i);
     if (nib < kNibbleMax) return nib;
-    const auto it = overflow_.find(i);
-    return (it == overflow_.end() ? 0 : it->second) + kNibbleMax;
+    return kNibbleMax + SpillHigh(i);
   }
+
+  /// Hints that cell i is about to be read: fetches the cache line of its
+  /// nibble.  Reading a run of cells needs one hint per cache line.
+  void Prefetch(size_t i) const { __builtin_prefetch(packed_.data() + i / 2); }
 
   /// counter[i] += delta.
   void Add(size_t i, uint64_t delta);
@@ -68,7 +75,8 @@ class CompactCounterArray {
   /// small and degrades gracefully (O(log C) per counter) when they grow.
   size_t SpaceBits() const;
 
-  /// Actual process memory held by this structure.
+  /// Actual process memory held by this structure: the nibble array plus
+  /// the spill table's slots.
   size_t HeapBytes() const;
 
   /// Dense wire encoding: one gamma code per cell (1 bit per empty cell).
@@ -112,10 +120,43 @@ class CompactCounterArray {
     }
   }
 
+  // One spill-table slot: key = cell + 1 (0 = empty), high = value - 15.
+  struct Spill {
+    uint64_t key;
+    uint64_t high;
+  };
+
+  // Home slot of `key` in a table of 2^(64 - spill_shift_) slots.
+  size_t SpillHome(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> spill_shift_);
+  }
+
+  // The slot holding `key`, or the empty slot where it would go.  The
+  // table must be nonempty (and, at <= 3/4 load, always has an empty slot).
+  size_t SpillProbe(uint64_t key) const {
+    const size_t mask = spill_.size() - 1;
+    size_t s = SpillHome(key);
+    while (spill_[s].key != key && spill_[s].key != 0) s = (s + 1) & mask;
+    return s;
+  }
+
+  // High part of spilled cell i: 0 when it holds exactly 15 and so never
+  // took a slot (an empty slot's high part is 0).
+  uint64_t SpillHigh(size_t i) const {
+    if (spill_.empty()) return 0;
+    return spill_[SpillProbe(static_cast<uint64_t>(i) + 1)].high;
+  }
+
+  // The high part of cell i, inserting a zero slot when it has none.
+  uint64_t& SpillSlot(size_t i);
+  void GrowSpill();
+
   size_t size_ = 0;
   uint64_t total_ = 0;
-  std::vector<uint8_t> packed_;                    // 2 counters per byte
-  std::unordered_map<size_t, uint64_t> overflow_;  // value - kNibbleMax
+  std::vector<uint8_t> packed_;  // 2 counters per byte
+  std::vector<Spill> spill_;     // empty, or a power-of-two slot count
+  size_t spilled_ = 0;           // occupied slots
+  int spill_shift_ = 64;         // 64 - log2(spill_.size())
 };
 
 }  // namespace l1hh

@@ -1,7 +1,6 @@
 #include "serve/query_verbs.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -91,12 +90,10 @@ void QueryVerbs::ServeConnection(int fd) const {
 bool QueryVerbs::Heavy(int fd, const std::string&,
                        std::string_view args) const {
   double phi = default_phi_;
-  if (!args.empty()) {
-    phi = std::atof(std::string(args).c_str());
-    if (phi <= 0) {
-      WriteLine(fd, "err phi must be > 0");
-      return true;
-    }
+  if (!args.empty() &&
+      (!ParseFiniteDouble(args, &phi) || phi <= 0 || phi > 1)) {
+    WriteLine(fd, "err phi must be a number in (0, 1]");
+    return true;
   }
   // The span owns the whole verb: the backend's park-wait /
   // merge-rebuild / report phases land on it, reply_write is ours.

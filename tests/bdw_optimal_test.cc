@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -11,7 +15,9 @@
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/misra_gries.h"
+#include "summary/summary.h"
 #include "util/bit_util.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace l1hh {
@@ -289,6 +295,195 @@ TEST(BdwOptimalTest, HotPathDrawsOnlyForLandedCoins) {
                       (p_t2 + p_t3))
         << "epoch " << epoch;
   }
+}
+
+// ---- Served answers, pinned --------------------------------------------
+
+// CRC-32 over (item, estimate bits) pairs: any change to a reported item,
+// to the report order or to one bit of an estimate changes it.
+uint32_t CrcOfReport(const std::vector<ItemEstimate>& report) {
+  uint32_t crc = 0;
+  for (const ItemEstimate& e : report) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &e.estimate, sizeof(bits));
+    crc = Crc32Update(crc, &e.item, sizeof(e.item));
+    crc = Crc32Update(crc, &bits, sizeof(bits));
+  }
+  return crc;
+}
+
+// The answers `heavy` and `estimate` serve at the benchmark's operating
+// point (eps = 0.005, phi = 0.02, two shards merged for the query),
+// checksummed bit for bit: the report at phi, the report at 2 phi, and
+// Estimate() of the stream's first 1000 items, for one unmerged shard and
+// for the merged view.  Query-path work may make these cheaper but must
+// leave every bit where it is.
+TEST(BdwOptimalTest, ServedAnswersArePinned) {
+  SummaryOptions o;
+  o.epsilon = 0.005;
+  o.phi = 0.02;
+  o.delta = 0.1;
+  o.universe_size = uint64_t{1} << 20;
+  o.stream_length = uint64_t{1} << 18;
+  o.seed = 11;
+  const auto stream = MakeZipfStream(o.universe_size, 1.2, o.stream_length,
+                                     /*seed=*/5);
+  const size_t half = stream.size() / 2;
+  auto shard0 = MakeSummary("bdw_optimal", o);
+  auto shard1 = MakeSummary("bdw_optimal", o);
+  ASSERT_NE(shard0, nullptr);
+  ASSERT_NE(shard1, nullptr);
+  shard0->UpdateColumn(stream.data(), half);
+  shard1->UpdateColumn(stream.data() + half, stream.size() - half);
+  const auto pin = [&](const Summary& view) {
+    std::vector<ItemEstimate> estimates;
+    for (size_t i = 0; i < 1000; ++i) {
+      estimates.push_back({stream[i], view.Estimate(stream[i])});
+    }
+    const auto report = view.HeavyHitters(o.phi);
+    EXPECT_FALSE(report.empty());
+    return std::vector<uint32_t>{
+        static_cast<uint32_t>(report.size()), CrcOfReport(report),
+        CrcOfReport(view.HeavyHitters(2 * o.phi)), CrcOfReport(estimates)};
+  };
+  const std::vector<uint32_t> unmerged = pin(*shard0);
+  ASSERT_TRUE(shard0->Merge(*shard1).ok());
+  const std::vector<uint32_t> merged = pin(*shard0);
+  EXPECT_EQ(unmerged, (std::vector<uint32_t>{7, 0x7005c943u, 0x3b6b0ce7u,
+                                             0xcbcec7f8u}));
+  EXPECT_EQ(merged, (std::vector<uint32_t>{7, 0x7b1fd1bcu, 0x16eeda26u,
+                                           0x8c4686ccu}));
+}
+
+// ---- Thresholded report against the unthresholded reference ------------
+
+// The served answer before the thresholded scan: every T1 candidate's full
+// median (TopK), then the (phi - eps/2) * n filter and the canonical order.
+std::vector<ItemEstimate> FilterTopKReference(const BdwOptimal& sketch,
+                                              double phi) {
+  const double threshold = (phi - sketch.options().epsilon / 2.0) *
+                           static_cast<double>(sketch.items_processed());
+  std::vector<ItemEstimate> out;
+  for (const HeavyHitter& hh :
+       sketch.TopK(std::numeric_limits<size_t>::max())) {
+    if (hh.estimated_count >= threshold) {
+      out.push_back({hh.item, hh.estimated_count});
+    }
+  }
+  SortByEstimateDesc(out);
+  return out;
+}
+
+void ExpectSameReport(const std::vector<ItemEstimate>& got,
+                      const std::vector<ItemEstimate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].estimate),
+              std::bit_cast<uint64_t>(want[i].estimate))
+        << "rank " << i;
+  }
+}
+
+std::vector<ItemEstimate> AsItemEstimates(
+    const std::vector<HeavyHitter>& report) {
+  std::vector<ItemEstimate> out;
+  for (const HeavyHitter& hh : report) {
+    out.push_back({hh.item, hh.estimated_count});
+  }
+  return out;
+}
+
+// A phi at which `estimate` sits exactly on the threshold
+// (phi - eps/2) * n, found among the doubles next to estimate / n + eps/2;
+// 0 when none of them lands exactly.
+double PhiOnThreshold(double estimate, double eps, uint64_t n) {
+  double phi = estimate / static_cast<double>(n) + eps / 2.0;
+  for (int i = 0; i < 64; ++i) phi = std::nextafter(phi, 0.0);
+  for (int i = 0; i < 128; ++i, phi = std::nextafter(phi, 1.0)) {
+    if ((phi - eps / 2.0) * static_cast<double>(n) == estimate) return phi;
+  }
+  return 0;
+}
+
+// Report(phi) and the adapter's HeavyHitters(phi) equal FilterTopK(TopK)
+// item for item and bit for bit — on Zipf and planted streams, for one
+// sketch and for a merge of two halves, at phi in {phi, 2 phi, eps/4
+// (a negative threshold: every candidate), 0.9 (none)} and at a phi that
+// puts one candidate's median exactly on the threshold (it is reported).
+TEST(BdwOptimalTest, ThresholdedReportMatchesFilteredTopK) {
+  SummaryOptions o;
+  o.epsilon = 0.005;
+  o.phi = 0.02;
+  o.delta = 0.1;
+  o.universe_size = uint64_t{1} << 20;
+  o.stream_length = uint64_t{1} << 17;
+  const BdwOptimal::Options opt =
+      MakeOptions(o.epsilon, o.phi, o.stream_length, o.universe_size);
+  int on_threshold_cases = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const PlantedSpec spec{{0.1, 0.03, 0.021, 0.0175, 0.01},
+                           o.universe_size, o.stream_length};
+    for (const bool zipf : {true, false}) {
+      const std::vector<uint64_t> stream =
+          zipf ? MakeZipfStream(o.universe_size, 1.1, o.stream_length, seed)
+               : MakePlantedStream(spec, seed).items;
+      const size_t half = stream.size() / 2;
+      o.seed = 100 + seed;
+      BdwOptimal sketch(opt, o.seed);
+      BdwOptimal other(opt, o.seed);
+      auto summary = MakeSummary("bdw_optimal", o);
+      auto other_summary = MakeSummary("bdw_optimal", o);
+      ASSERT_NE(summary, nullptr);
+      for (size_t i = 0; i < half; ++i) sketch.Insert(stream[i]);
+      for (size_t i = half; i < stream.size(); ++i) other.Insert(stream[i]);
+      summary->UpdateColumn(stream.data(), half);
+      other_summary->UpdateColumn(stream.data() + half, stream.size() - half);
+      for (const bool merged : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (zipf ? "zipf" : "planted") << " seed " << seed
+                     << (merged ? " merged" : " scalar"));
+        if (merged) {
+          ASSERT_TRUE(sketch.MergeFrom(other).ok());
+          ASSERT_TRUE(summary->Merge(*other_summary).ok());
+        }
+        std::vector<double> phis = {o.phi, 2 * o.phi, o.epsilon / 4, 0.9};
+        const auto top = sketch.TopK(std::numeric_limits<size_t>::max());
+        ASSERT_FALSE(top.empty());
+        // The candidate nearest phi * n, put exactly on the threshold.
+        const auto nearest = std::min_element(
+            top.begin(), top.end(), [&](const auto& a, const auto& b) {
+              const double target =
+                  o.phi * static_cast<double>(sketch.items_processed());
+              return std::abs(a.estimated_count - target) <
+                     std::abs(b.estimated_count - target);
+            });
+        const double edge = PhiOnThreshold(
+            nearest->estimated_count, o.epsilon, sketch.items_processed());
+        if (edge > 0) {
+          ++on_threshold_cases;
+          phis.push_back(edge);
+        }
+        for (const double phi : phis) {
+          SCOPED_TRACE(::testing::Message() << "phi " << phi);
+          const auto want = FilterTopKReference(sketch, phi);
+          ExpectSameReport(AsItemEstimates(sketch.Report(phi)), want);
+          ExpectSameReport(summary->HeavyHitters(phi), want);
+          if (phi == edge) {
+            EXPECT_TRUE(std::any_of(want.begin(), want.end(), [&](auto& e) {
+              return e.item == nearest->item;
+            }));
+          }
+        }
+        // EstimateCount runs the same per-item routine to completion.
+        for (const HeavyHitter& hh : top) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(sketch.EstimateCount(hh.item)),
+                    std::bit_cast<uint64_t>(hh.estimated_count));
+        }
+      }
+    }
+  }
+  EXPECT_GE(on_threshold_cases, 8);
 }
 
 class BdwOptimalGrid

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -503,35 +504,50 @@ std::vector<uint8_t> ShardFrame(const std::string& algorithm, uint64_t seed,
 
 // One scripted sync round: full frames (shard, bytes), then "rsync
 // <items>" — or, when `torn`, a hang-up right after the frames. Each frame
-// header carries the clocks of its bytes, plus `clock_skew` items.
+// header carries the clocks of its bytes, plus `clock_skew` items. After
+// the first round, the fake plays it only on the standby's `request`.
 struct ScriptedRound {
   std::vector<std::pair<size_t, std::vector<uint8_t>>> frames;
   uint64_t items = 0;
   bool torn = false;
   uint64_t clock_skew = 0;
+  std::string request = "sync";
 };
 
 // Runs a fake K=2 `exact` primary on `primary_sock` that answers the
-// standby's replicate and sync requests with `rounds`, starts a standby
-// on it, waits until the fake has played every round and the standby has
-// lost it, and returns the standby's pid (still serving on
-// `replica_sock`).
+// standby's replicate and sync requests with `rounds` (a `replicate`
+// after the first round gets the rconf line again, as from l1hh_serve;
+// any other request than the round's hangs up), starts a standby on it,
+// waits until the fake has played every round and the standby has lost
+// it, and returns the standby's pid (still serving on `replica_sock`).
+// With `while_up`, the fake first takes the standby's request after the
+// last round, leaves it unanswered, and runs `while_up()` while the
+// standby still sees its primary up.
 pid_t RunScriptedPrimary(const std::string& primary_sock,
                          const std::string& replica_sock,
-                         const std::vector<ScriptedRound>& rounds) {
+                         const std::vector<ScriptedRound>& rounds,
+                         const std::function<void()>& while_up = nullptr) {
   Status status;
   auto fake_primary = serve::UnixListener::Bind(primary_sock, &status);
   EXPECT_NE(fake_primary, nullptr) << status.ToString();
   if (fake_primary == nullptr) return -1;
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
   std::atomic<bool> played{false};
-  std::thread accept_loop([&fake_primary, &rounds, &played] {
-    fake_primary->Run([&rounds, &played](int fd) {
+  std::thread accept_loop([&] {
+    fake_primary->Run([&](int fd) {
       serve::LineReader reader(fd);
       std::string line;
       if (!reader.ReadLine(&line) || line != "replicate") return;
       serve::WriteLine(fd, "rconf shards=2 algo=exact");
-      for (size_t r = 0; r < rounds.size(); ++r) {
-        if (r > 0 && (!reader.ReadLine(&line) || line != "sync")) break;
+      size_t r = 0;
+      for (; r < rounds.size(); ++r) {
+        if (r > 0) {
+          if (!reader.ReadLine(&line) || line != rounds[r].request) break;
+          if (line == "replicate") {
+            serve::WriteLine(fd, "rconf shards=2 algo=exact");
+          }
+        }
         for (const auto& [shard, bytes] : rounds[r].frames) {
           SnapshotInfo info;
           EXPECT_TRUE(ReadSnapshotInfo(bytes, &info).ok());
@@ -547,6 +563,11 @@ pid_t RunScriptedPrimary(const std::string& primary_sock,
         if (rounds[r].torn) break;
         serve::WriteLine(fd, "rsync " + std::to_string(rounds[r].items));
       }
+      if (while_up != nullptr && r == rounds.size() &&
+          reader.ReadLine(&line)) {
+        held.store(true);
+        while (!release.load()) ::usleep(10 * 1000);
+      }
       // Die: the standby sees EOF mid-round or on its next request.
       ::shutdown(fd, SHUT_RDWR);
       played.store(true);
@@ -554,10 +575,22 @@ pid_t RunScriptedPrimary(const std::string& primary_sock,
   });
   const pid_t replica = StartReplica(primary_sock, replica_sock);
   EXPECT_GT(replica, 0);
-  for (int attempt = 0; attempt < 400 && !played.load(); ++attempt) {
-    ::usleep(50 * 1000);
+  const auto await = [&played](const std::atomic<bool>& flag) {
+    for (int attempt = 0; attempt < 400 && !flag.load() && !played.load();
+         ++attempt) {
+      ::usleep(50 * 1000);
+    }
+    return flag.load();
+  };
+  if (while_up != nullptr) {
+    if (await(held)) {
+      while_up();
+    } else {
+      ADD_FAILURE() << "the standby never asked past the last round";
+    }
+    release.store(true);
   }
-  EXPECT_TRUE(played.load());
+  EXPECT_TRUE(await(played));
   {
     // The standby reached round 2 only after committing round 1, which
     // marks the primary up; "lost" now means it saw the fake die.
@@ -636,6 +669,67 @@ TEST(ReplicationTest, StandbyRefusesRoundThatFailsShardSetChecks) {
                            replica_sock, {FirstRound(), refused});
     ASSERT_GT(replica, 0);
     ExpectServesFirstRound(replica_sock, replica);
+  }
+}
+
+// A refused round does not end replication: the standby keeps serving
+// round 1 with its primary up, asks for a full `replicate` instead of the
+// next `sync`, and commits the full round the primary answers with. The
+// round is refused at its rsync (a total over its items) or at its first
+// frame (a shard index past K), whose later frame is read and dropped.
+TEST(ReplicationTest, StandbyResyncsAfterRefusedRound) {
+  ScriptedRound resynced;
+  resynced.frames.emplace_back(0, ShardFrame("exact", 1, 7, 400));
+  resynced.frames.emplace_back(1, ShardFrame("exact", 1, 9, 80));
+  resynced.items = 480;
+  ScriptedRound bad_total = resynced;
+  bad_total.items = 999;
+  ScriptedRound bad_shard = resynced;
+  bad_shard.frames[0].first = 2;
+  resynced.request = "replicate";
+  for (const auto& [name, refused] :
+       std::vector<std::pair<std::string, ScriptedRound>>{
+           {"rsync 999 over 480 items", bad_total},
+           {"frame for shard 2 of 2", bad_shard}}) {
+    SCOPED_TRACE(name);
+    const std::string replica_sock =
+        testing::TempDir() + "/repl_resync_standby.sock";
+    const auto expect_round_three = [&replica_sock] {
+      Client standby(replica_sock);
+      const std::string stats = standby.Stats();
+      EXPECT_NE(stats.find("items=480 "), std::string::npos) << stats;
+      EXPECT_NE(stats.find(" syncs=2 "), std::string::npos) << stats;
+      const std::map<uint64_t, double> want = {{7, 400.0}, {9, 80.0}};
+      EXPECT_EQ(standby.Heavy(0.1), want);
+      EXPECT_EQ(standby.EstimateOf(7), 400.0);
+      EXPECT_EQ(standby.EstimateOf(9), 80.0);
+      return stats;
+    };
+    const pid_t replica = RunScriptedPrimary(
+        testing::TempDir() + "/repl_resync_primary.sock", replica_sock,
+        {FirstRound(), refused, resynced}, [&] {
+          const std::string stats = expect_round_three();
+          EXPECT_NE(stats.find("primary=up"), std::string::npos) << stats;
+          Client standby(replica_sock);
+          standby.SendLine("metrics");
+          unsigned long long count = 0;
+          ASSERT_EQ(std::sscanf(standby.ReadLine().c_str(), "metrics %llu",
+                                &count),
+                    1);
+          std::vector<std::string> metrics;
+          for (unsigned long long i = 0; i < count; ++i) {
+            metrics.push_back(standby.ReadLine());
+          }
+          EXPECT_NE(std::find(metrics.begin(), metrics.end(),
+                              "l1hh_replica_rounds_refused_total 1"),
+                    metrics.end());
+        });
+    ASSERT_GT(replica, 0);
+    expect_round_three();
+    Client standby(replica_sock);
+    standby.SendLine("shutdown");
+    EXPECT_EQ(standby.ReadLine(), "ok");
+    ExpectExitedCleanly(replica);
   }
 }
 

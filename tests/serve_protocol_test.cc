@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -139,6 +140,13 @@ TEST_F(ServeProtocolTest, ReplyFramingForEveryVerb) {
   EXPECT_EQ(backend_.last_phi.load(), kDefaultPhi);
   EXPECT_EQ(RequestBlock("heavy 0.25", "hh").size(), 2u);
   EXPECT_EQ(backend_.last_phi.load(), 0.25);
+  // A client's "heavy %.17g" round-trips the exact double; 1 is allowed.
+  char request[64];
+  std::snprintf(request, sizeof(request), "heavy %.17g", 0.02);
+  EXPECT_EQ(RequestBlock(request, "hh").size(), 2u);
+  EXPECT_EQ(backend_.last_phi.load(), 0.02);
+  EXPECT_EQ(RequestBlock("heavy 1", "hh").size(), 2u);
+  EXPECT_EQ(backend_.last_phi.load(), 1.0);
 
   EXPECT_EQ(Request("estimate 21"), "est 21 42");
   EXPECT_EQ(Request("estimate 18446744073709551615"),
@@ -175,8 +183,10 @@ TEST_F(ServeProtocolTest, ReplyFramingForEveryVerb) {
 }
 
 TEST_F(ServeProtocolTest, MalformedArgumentsGetErrors) {
-  for (const char* request : {"heavy 0", "heavy -1"}) {
-    EXPECT_EQ(Request(request), "err phi must be > 0") << request;
+  for (const char* request : {"heavy 0", "heavy -1", "heavy 0.5x", "heavy nan",
+                              "heavy inf", "heavy 1e999", "heavy 2"}) {
+    EXPECT_EQ(Request(request), "err phi must be a number in (0, 1]")
+        << request;
   }
   for (const char* request :
        {"estimate abc", "estimate 5x", "estimate -1", "estimate +5",

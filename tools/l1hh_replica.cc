@@ -4,8 +4,9 @@
 // then tails incremental "sync" rounds every --interval-ms. Each round
 // goes through the frame applier an engine Restore uses (StagedShardSet,
 // engine/shard_set.h), so a torn, reordered, miscounted or foreign frame
-// is a refused round, never a silently wrong standby. It serves the
-// shared query verbs on its own socket and keeps serving after the
+// is a refused round, never a silently wrong standby; after one, the
+// standby asks for a full "replicate" round and keeps tailing. It serves
+// the shared query verbs on its own socket and keeps serving after the
 // primary dies, answering from the last committed round.
 //
 //   l1hh_replica --primary=/tmp/l1hh.sock --socket=/tmp/l1hh-replica.sock
@@ -179,16 +180,26 @@ std::string_view NextField(std::string_view* rest) {
   return field;
 }
 
+// How a sync round ended.
+enum class Round {
+  kCommitted,  // read through its rsync and swapped in
+  kRefused,    // read through its rsync, but a frame or the commit refused
+  kLost,       // the stream ended or desynced: EOF, a malformed line, a
+               // short frame
+};
+
 // Reads one round off `reader`, up to its closing "rsync <items>", and
 // commits it as a whole: frames go through the applier (decoded outside
 // state.mutex), an audit block stages its shadow, and at rsync the shards,
 // items and shadow swap in together if the applier accepts the round
-// against the rconf algorithm and the rsync total. A malformed, refused
-// or torn round returns false and leaves the last committed round serving.
-bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
-  const auto refuse = [](const std::string& why) {
+// against the rconf algorithm and the rsync total. The applier latches a
+// refused frame and returns it from Commit, so the rest of the round is
+// still read up to its rsync and the connection stays in step. A round
+// that is refused or lost leaves the last committed round serving.
+Round DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
+  const auto lost = [](const std::string& why) {
     std::fprintf(stderr, "replica: %s\n", why.c_str());
-    return false;
+    return Round::kLost;
   };
   StagedShardSet staged(&state.shards, &state.mutex);
   AuditShadow audit;
@@ -208,21 +219,18 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
           !serve::ParseU64(NextField(&rest), &frame.applied) ||
           !serve::ParseU64(rest, &frame.rotations) ||
           nbytes > serve::kMaxFrameBytes) {
-        return refuse("malformed frame header '" + line + "'");
+        return lost("malformed frame header '" + line + "'");
       }
       frame.shard = static_cast<size_t>(shard);  // the applier checks < K
       frame.bytes.resize(static_cast<size_t>(nbytes));
       if (!reader.ReadExact(reinterpret_cast<char*>(frame.bytes.data()),
                             frame.bytes.size())) {
-        return false;
+        return Round::kLost;
       }
       obs::GetCounter("l1hh_replica_frames_total",
                       frame.delta ? "kind=\"delta\"" : "kind=\"full\"")
           ->Inc();
-      const Status applied = staged.Apply(frame);
-      if (!applied.ok()) {
-        return refuse("refused frame '" + line + "': " + applied.ToString());
-      }
+      (void)staged.Apply(frame);  // a refusal comes back from Commit
       continue;
     }
     if (line.rfind("audit ", 0) == 0) {
@@ -235,17 +243,17 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
           !serve::ParseFiniteDouble(NextField(&rest), &audit.phi) ||
           !serve::ParseU64(NextField(&rest), &audit.items) ||
           !serve::ParseU64(rest, &nkeys) || nkeys > (1u << 20)) {
-        return refuse("malformed audit header '" + line + "'");
+        return lost("malformed audit header '" + line + "'");
       }
       audit.counts.clear();
       audit.counts.reserve(static_cast<size_t>(nkeys));
       for (uint64_t i = 0; i < nkeys; ++i) {
         uint64_t key = 0, count = 0;
-        if (!reader.ReadLine(&line)) return refuse("torn audit shadow");
+        if (!reader.ReadLine(&line)) return lost("torn audit shadow");
         std::string_view pair = line;
         if (!serve::ParseU64(NextField(&pair), &key) ||
             !serve::ParseU64(pair, &count)) {
-          return refuse("malformed audit pair '" + line + "'");
+          return lost("malformed audit pair '" + line + "'");
         }
         audit.counts.emplace_back(key, count);
       }
@@ -254,7 +262,7 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
     if (line.rfind("rsync ", 0) == 0) {
       uint64_t items = 0;
       if (!serve::ParseU64(std::string_view(line).substr(6), &items)) {
-        return refuse("malformed rsync '" + line + "'");
+        return lost("malformed rsync '" + line + "'");
       }
       const Status committed =
           staged.Commit(state.algorithm, items, [&](uint64_t rotations) {
@@ -265,17 +273,20 @@ bool DrainSyncRound(ReplicaState& state, serve::LineReader& reader) {
             PublishLagLocked(state);
           });
       if (!committed.ok()) {
-        return refuse("refused sync round: " + committed.ToString());
+        std::fprintf(stderr, "replica: refused sync round: %s\n",
+                     committed.ToString().c_str());
+        obs::GetCounter("l1hh_replica_rounds_refused_total")->Inc();
+        return Round::kRefused;
       }
       obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
       obs::Trace(obs::Severity::kDebug, "replica.sync",
                  static_cast<int64_t>(state.syncs),
                  static_cast<int64_t>(items));
-      return true;
+      return Round::kCommitted;
     }
-    return refuse("unexpected line from primary: '" + line + "'");
+    return lost("unexpected line from primary: '" + line + "'");
   }
-  return false;  // primary closed mid-round; nothing was committed
+  return Round::kLost;  // primary closed mid-round; nothing was committed
 }
 
 // Connects, full-syncs, then tails incremental syncs until the primary
@@ -299,16 +310,16 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
   }
 
   serve::LineReader reader(fd);
-  std::string line;
-  if (!serve::WriteLine(fd, "replicate") || !reader.ReadLine(&line) ||
-      line.rfind("rconf ", 0) != 0) {
+  std::string rconf;
+  if (!serve::WriteLine(fd, "replicate") || !reader.ReadLine(&rconf) ||
+      rconf.rfind("rconf ", 0) != 0) {
     std::fprintf(stderr, "replica: bad replicate handshake ('%s')\n",
-                 line.c_str());
+                 rconf.c_str());
     ::close(fd);
     return;
   }
   // "rconf shards=<K> algo=<name>"
-  std::string_view rest = std::string_view(line).substr(6);
+  std::string_view rest = std::string_view(rconf).substr(6);
   const std::string_view shards_field = NextField(&rest);
   const std::string_view algo_field = NextField(&rest);
   uint64_t shards = 0;
@@ -316,7 +327,7 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
       !serve::ParseU64(shards_field.substr(7), &shards) || shards == 0 ||
       shards > (1u << 16) || algo_field.rfind("algo=", 0) != 0 ||
       algo_field.size() == 5 || !rest.empty()) {
-    std::fprintf(stderr, "replica: malformed rconf '%s'\n", line.c_str());
+    std::fprintf(stderr, "replica: malformed rconf '%s'\n", rconf.c_str());
     ::close(fd);
     return;
   }
@@ -326,7 +337,7 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
     state.shards.resize(static_cast<size_t>(shards));
     state.algorithm = algo;
   }
-  if (!DrainSyncRound(state, reader)) {
+  if (DrainSyncRound(state, reader) != Round::kCommitted) {
     ::close(fd);
     return;
   }
@@ -339,13 +350,22 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args,
               static_cast<unsigned long long>(shards));
   std::fflush(stdout);
 
+  // After a refused round the primary's baselines have moved past deltas
+  // this standby never applied, so it asks for a cold `replicate` next:
+  // the primary answers, on this connection, with its rconf and a full
+  // round. A primary whose rconf changed is one this standby cannot follow.
+  bool resync = false;
+  std::string line;
   while (!listener.stopping()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(args.interval_ms));
     if (listener.stopping()) break;
-    if (!serve::WriteLine(fd, "sync") ||
-        !DrainSyncRound(state, reader)) {
-      break;  // primary gone: stop syncing, keep serving (failover)
+    if (!serve::WriteLine(fd, resync ? "replicate" : "sync") ||
+        (resync && (!reader.ReadLine(&line) || line != rconf))) {
+      break;  // primary gone or changed: stop syncing, keep serving
     }
+    const Round round = DrainSyncRound(state, reader);
+    if (round == Round::kLost) break;
+    resync = round == Round::kRefused;
   }
   state.primary_up.store(false, std::memory_order_relaxed);
   obs::GetGauge("l1hh_replica_primary_up")->Set(0);
